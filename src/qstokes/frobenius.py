@@ -67,7 +67,9 @@ class FrobeniusModel:
         self.structure = np.array(structure_constants, dtype=complex)
         self.euler = np.array(euler_multiplication, dtype=complex)
         self.base_point = np.array(base_point, dtype=complex)
-        self._calibration = calibration
+        if calibration is None:
+            calibration = [np.eye(self.dim)]
+        self._calibration = [np.array(s, dtype=complex) for s in calibration]
         self.novikov = novikov
         self.name = name
         self._validate()
@@ -129,6 +131,27 @@ class FrobeniusModel:
             _nilpotent_powers(self.rho, n)
         except ValueError:
             raise ModelValidationError("rho is not nilpotent") from None
+        stored = self._calibration
+        if not stored or any(s.shape != (n, n) for s in stored):
+            raise ModelValidationError(
+                "calibration terms must be {0}x{0} matrices".format(n)
+            )
+        r = _resid(stored[0] - np.eye(n))
+        if r > 1e-12:
+            raise ModelValidationError(
+                "calibration must start with S_0 = 1 (residual {:.3g})".format(r)
+            )
+        for k in range(1, len(stored)):
+            try:
+                want, free = self._calibration_step(stored[k - 1], k)
+            except RuntimeError as exc:
+                raise ModelValidationError(str(exc)) from None
+            r = _resid(np.where(free, 0.0, stored[k] - want))
+            if r > 1e-10 * max(1.0, _resid(want)):
+                raise ModelValidationError(
+                    "stored calibration term {} breaks the grading recursion "
+                    "(residual {:.3g})".format(k, r)
+                )
 
     def _check_point(self, t):
         t = np.asarray(t, dtype=complex)
@@ -152,50 +175,44 @@ class FrobeniusModel:
         return self.euler.copy()
 
     def calibration(self, order):
-        """Calibration matrices [S_0 = 1, S_1, ..., S_order]."""
-        if callable(self._calibration):
-            return self._calibration(order)
-        stored = self._calibration if self._calibration is not None else []
-        if order >= len(stored):
-            raise ValueError(
-                "calibration stored only through order {}".format(len(stored) - 1)
+        """Calibration matrices [S_0 = 1, S_1, ..., S_order].
+
+        Terms past the stored prefix follow from the grading recursion
+        (ad_theta + k) S_k = (E.) S_{k-1} - S_{k-1} rho, whose entry factor
+        at row r, column c is theta_r - theta_c + k.  Kernel slots (factor
+        0) of new terms are set to zero, as on P^n, where those
+        q-degree-zero slots carry no two-point invariants; a model that
+        needs other values there stores its terms through the last kernel
+        slot.  Extensions are kept on the model.
+        """
+        stored = self._calibration
+        while len(stored) <= order:
+            term, free = self._calibration_step(stored[-1], len(stored))
+            stored.append(np.where(free, 0.0, term))
+        return [s.copy() for s in stored[: order + 1]]
+
+    def _calibration_step(self, prev, k):
+        """S_k off the kernel slots, and the mask of the kernel slots.
+
+        The recursion leaves S_k free where the entry factor vanishes,
+        but its right-hand side must vanish there.
+        """
+        rhs = self.euler @ prev - prev @ self.rho
+        factor = self.theta_eigenvalues[:, None] - self.theta_eigenvalues[None, :] + k
+        free = np.abs(factor) < 1e-12
+        bad = free & (np.abs(rhs) > 1e-10 * max(1.0, _resid(rhs)))
+        if bad.any():
+            r, c = np.argwhere(bad)[0]
+            raise RuntimeError(
+                "calibration recursion inconsistent in the kernel "
+                "slot ({}, {}) at order {}".format(r, c, k)
             )
-        return [np.array(s, dtype=complex) for s in stored[: order + 1]]
+        return rhs / np.where(free, 1.0, factor), free
 
     def ad_transpose(self, mat):
         """Transpose with respect to the Frobenius pairing."""
         g = self.pairing
         return np.linalg.solve(g, mat.T @ g)
-
-
-def _pn_calibration(n, euler, rho, order):
-    """Calibration of P^n by the graded recursion.
-
-    Order k solves (ad_theta + k) S_k = (E.) S_{k-1} - S_{k-1} rho;
-    with theta eigenvalues n/2 - r the entry factor is c - r + k, and
-    the kernel entries (c - r + k = 0, the q-degree-zero slots) carry no
-    two-point invariants and are set to zero after checking that the
-    right-hand side vanishes there.
-    """
-    dim = n + 1
-    series = [np.eye(dim, dtype=complex)]
-    for k in range(1, order + 1):
-        rhs = euler @ series[k - 1] - series[k - 1] @ rho
-        tol = 1e-10 * max(1.0, _resid(rhs))
-        out = np.zeros((dim, dim), dtype=complex)
-        for r in range(dim):
-            for c in range(dim):
-                f = c - r + k
-                if f == 0:
-                    if abs(rhs[r, c]) > tol:
-                        raise RuntimeError(
-                            "calibration recursion inconsistent in the kernel "
-                            "slot ({}, {}) at order {}".format(r, c, k)
-                        )
-                else:
-                    out[r, c] = rhs[r, c] / f
-        series.append(out)
-    return series
 
 
 def qh_projective_space(n, q):
@@ -235,7 +252,6 @@ def qh_projective_space(n, q):
         structure_constants=structure,
         euler_multiplication=euler,
         base_point=np.zeros(dim),
-        calibration=lambda order: _pn_calibration(n, euler, rho, order),
         novikov=q,
         name="P{}(q={})".format(n, q),
     )
@@ -276,12 +292,11 @@ def _decode(value):
 def save_model(model, path):
     """Write a model file; numbers are stored as [re, im] pairs.
 
-    The calibration is materialized through order dim + 4 so a reload
-    can run the standard checks without the generating rule.
+    The calibration is stored through order dim + 4, past every kernel
+    slot of a P^n-like grading, and a reload extends it by the same
+    recursion.
     """
     order = model.dim + 4
-    if not callable(model._calibration) and model._calibration is not None:
-        order = min(order, len(model._calibration) - 1)
     doc = {
         "dim": model.dim,
         "conformal_dim": _encode(model.conformal_dim),
@@ -402,10 +417,7 @@ def canonical_data(model, t):
 
 def calibration_series(model, order):
     """Calibration matrices [S_0, ..., S_order] of the model."""
-    series = model.calibration(order)
-    if len(series) != order + 1:
-        raise RuntimeError("calibration provider returned a wrong-length series")
-    return series
+    return model.calibration(order)
 
 
 def rmatrix_series(model, t, order):

@@ -22,6 +22,7 @@ __all__ = [
     "rgamma",
     "operator_power",
     "calibrated_period",
+    "calibrated_periods",
     "continue_linear_ode",
 ]
 
@@ -298,15 +299,18 @@ def operator_power(lam, theta, rho):
     return left @ right
 
 
-def calibrated_period(theta, rho, m, lam):
-    """Calibrated period operator at a branch point.
+def calibrated_periods(theta, rho, m, lam):
+    """Calibrated period operators at m, m + 1, m + 2, ... in turn.
 
-    Evaluates e^{-rho d_lambda d_m}(lambda^(theta-m-1/2)/Gamma(theta-m+1/2))
-    as a finite sum over powers of the nilpotent rho.  Each
-    lambda-derivative shifts the exponent via
-    d_lambda(lambda^s/Gamma(s+1)) = lambda^(s-1)/Gamma(s) and the
-    m-derivatives are read off a truncated jet in m.  Uses reciprocal
-    Gamma throughout, so integer spectra are fine (entries just vanish).
+    The operator at m is
+    e^{-rho d_lambda d_m}(lambda^(theta-m-1/2)/Gamma(theta-m+1/2)), a
+    finite sum over powers of the nilpotent rho.  With s = a - m - 1/2
+    for an eigenvalue a of theta and eps the jet variable in m, the
+    lambda-derivatives f_j = lambda^(s-j-eps)/Gamma(s-j-eps+1) obey
+    f_{j+1} = (s - j - eps) f_j / lambda, and the operator at m + k
+    reads coefficient l of f_{k+l} against rho^l.  So one Stirling jet
+    per eigenvalue serves every term.  Uses reciprocal Gamma, so integer
+    spectra are fine (entries just vanish).
     """
     theta = np.asarray(theta, dtype=complex)
     dim = theta.shape[0]
@@ -314,19 +318,35 @@ def calibrated_period(theta, rho, m, lam):
     rho_pows = _nilpotent_powers(rho, dim)
     order = len(rho_pows)
     L = lam.log
-    m_jet = Jet.variable(m, order)
-    total = np.zeros((dim, dim), dtype=complex)
-    for l, rp in enumerate(rho_pows):
-        diag = np.empty(dim, dtype=complex)
-        for i, a in enumerate(vals):
-            s = (a - 0.5 - l) - m_jet
-            f = (s * L).exp() * rgamma(s + 1.0)
-            diag[i] = f.c[l]
-        block = np.diag(diag)
-        if vecs is not None:
-            block = vecs @ block @ vinv
-        total += (-1.0) ** l * (rp @ block)
-    return total
+    s = vals - 0.5 - complex(m)
+    eps = Jet.variable(0.0, order)
+    f0 = [((complex(a) - eps) * L).exp() * rgamma(complex(a) - eps + 1.0) for a in s]
+    # window[l] holds the jets f_{k+l}, one row per eigenvalue, and f_j
+    # is its last entry; it runs one jet ahead of the term
+    window = [np.array([f.c for f in f0])]
+    inv_lam = cmath.exp(-L)
+    j = 0
+    while True:
+        while len(window) <= order:
+            f = window[-1]
+            nxt = (s - j)[:, None] * f
+            nxt[:, 1:] -= f[:, :-1]
+            window.append(nxt * inv_lam)
+            j += 1
+        total = np.zeros((dim, dim), dtype=complex)
+        for l, rp in enumerate(rho_pows):
+            block = np.diag(window[l][:, l])
+            if vecs is not None:
+                block = vecs @ block @ vinv
+            total += (-1.0) ** l * (rp @ block)
+        yield total
+        window.pop(0)
+
+
+def calibrated_period(theta, rho, m, lam):
+    """Calibrated period operator at a branch point: the first term of
+    calibrated_periods."""
+    return next(calibrated_periods(theta, rho, m, lam))
 
 
 # Dormand-Prince 5(4) tableau (FSAL: last stage is the next first stage).

@@ -2,12 +2,14 @@
 
 A period frame packs the fundamental solutions I^(m)(lambda), column a
 holding the twisted period of the flat coordinate vector e_a.  Frames
-are assembled from the calibration series at large positive lambda,
-transported along path plans, and looped around spectral points to
-produce monodromies and the twisted reflection vectors that generate
-them.  Every frame carries the branch of log(lambda) at its endpoint
-together with the concatenated path it was transported along, so that
-spiral factors are always attributable.
+are assembled from the calibration series at large positive lambda
+and transported along path plans.  At a path's end the twisted
+reflection vector is read off against the local Laurent expansion at
+the target; loops around spectral points give the monodromies these
+vectors generate.  The twisted pairing h_m is a closed-form twist of
+the Euler pairing.  Every frame carries the branch of log(lambda) at
+its endpoint together with the concatenated path it was transported
+along, so that spiral factors are always attributable.
 """
 
 import cmath
@@ -17,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frobenius import calibration_series, canonical_data, rmatrix_series
-from .numerics import LogBranchPoint, calibrated_period, continue_linear_ode, rgamma
+from .numerics import LogBranchPoint, calibrated_periods, continue_linear_ode, rgamma
 from .paths import PathPlan, simple_loop
 
 TWO_PI = 2.0 * math.pi
 
-_TAIL_TOL = 1e-10
+_TAIL_TOL = 1e-14
 _SERIES_CAP = 150
+_LAURENT_ORDER = 60
 
 
 def free_plan(points):
@@ -135,11 +138,10 @@ def _ode_rhs(model, m):
 def base_frame(model, m, lambda0, order=_SERIES_CAP):
     """Period frame at a large positive lambda0 on the principal branch.
 
-    The calibration series is summed adaptively until two consecutive
-    terms drop below 1e-10; `order` caps the truncation.  Models with a
-    stored finite calibration are summed exactly.  Requires lambda0
-    beyond twice the spectral radius, where the series converges
-    geometrically.
+    The calibration series is summed until, in every column, two
+    consecutive terms drop below 1e-14 times the column's largest
+    entry; `order` caps the truncation.  Requires lambda0 beyond twice
+    the spectral radius, where the series converges geometrically.
     """
     m = complex(m)
     lam0 = float(lambda0)
@@ -149,39 +151,23 @@ def base_frame(model, m, lambda0, order=_SERIES_CAP):
             "base value %g must exceed twice the spectral radius %g" % (lam0, umax)
         )
     lam = LogBranchPoint.principal(lam0)
-    # a stored calibration that ends before the cap is the whole series,
-    # so its truncation is exact; otherwise the tail must be checked
-    series = None
-    complete = False
-    try:
-        series = calibration_series(model, int(order) + 1)[: int(order) + 1]
-    except ValueError:
-        for k in range(int(order), -1, -1):
-            try:
-                series = calibration_series(model, k)
-                complete = True
-                break
-            except ValueError:
-                continue
-    if series is None:
-        raise ValueError("model carries no calibration")
+    series = calibration_series(model, int(order))
+    periods = calibrated_periods(model.theta, model.rho, m, lam)
     total = np.zeros((model.dim, model.dim), dtype=complex)
-    sizes = []
-    converged = False
-    for k, s in enumerate(series):
-        term = (-1) ** k * (s @ calibrated_period(model.theta, model.rho, m + k, lam))
+    last = None
+    for k, (s, period) in enumerate(zip(series, periods)):
+        term = (-1) ** k * (s @ period)
         total += term
-        sizes.append(float(np.abs(term).max()))
-        ref = max(1.0, float(np.abs(total).max()))
-        if k >= 1 and sizes[-1] <= _TAIL_TOL * ref and sizes[-2] <= _TAIL_TOL * ref:
-            converged = True
-            break
-    if not (converged or complete):
-        raise RuntimeError(
-            "period series tail above %g after %d terms at lambda0=%g; "
-            "raise order or lambda0" % (_TAIL_TOL, len(series), lam0)
-        )
-    return PeriodFrame(total, lam, m, free_plan([lam0, lam0]), model)
+        size = np.abs(term).max(axis=0)
+        if last is not None:
+            ref = _TAIL_TOL * np.abs(total).max(axis=0)
+            if np.all(np.maximum(size, last) <= ref):
+                return PeriodFrame(total, lam, m, free_plan([lam0, lam0]), model)
+        last = size
+    raise RuntimeError(
+        "period series tail above %g after %d terms at lambda0=%g; "
+        "raise order or lambda0" % (_TAIL_TOL, len(series), lam0)
+    )
 
 
 def continue_frame(frame, path, tol=1e-10, min_clearance=None):
@@ -242,143 +228,91 @@ def _half_integer(m):
 def reflection_vector(model, m, path, tol=1e-11):
     """Twisted reflection vector attached to a reference path.
 
-    The vector is the -q^-2 eigenvector of the elementary anticlockwise
-    loop monodromy, scaled so that the leading singular coefficient of
-    its period matches the canonical frame at the target point.  The
-    extraction runs at m shifted down by an integer whenever the base
-    frame would be near-singular; the result does not depend on that
+    I(lambda) beta is the period with the local form
+    (lambda - u_i)^(-m-1/2) (holomorphic) and the canonical leading
+    coefficient, so beta solves I(lambda_e) beta = L_i(lambda_e), where
+    I is the period frame continued to the path's end lambda_e and L_i
+    the Laurent expansion at the target u_i, which converges out to the
+    nearest other spectral point; the path must end within half that
+    distance of u_i.  The extraction runs at m shifted down by an
+    integer, where the frame is invertible; beta does not depend on that
     shift.
     """
     m = complex(m)
     if _half_integer(m):
         raise ValueError("reflection vectors are undefined at half-integer m")
-    sd = canonical_data(model, model.base_point)
+    # the loop monodromy has eigenvalues -q^-2 (once) and 1
+    gap = abs(1.0 + cmath.exp(-2j * math.pi * m))
+    if gap < 1e-4:
+        raise RuntimeError(
+            "monodromy eigenvalues cluster within %g; move m away from "
+            "half-integers" % gap
+        )
     i = int(path.target_index)
     if not 0 <= i < model.dim:
         raise ValueError("path has no spectral target")
+    u = canonical_data(model, model.base_point).u
+    standoff = abs(path.end_log_branch.value)
+    if model.dim > 1 and standoff > 0.5 * float(np.abs(np.delete(u, i) - u[i]).min()):
+        raise ValueError(
+            "path ends %.3g from its target, beyond half the distance to the "
+            "nearest other spectral point" % standoff
+        )
     # shift m so every exponent of theta stays right of the Gamma poles
     re_min = float(np.min(model.theta_eigenvalues.real))
     k0 = max(0, math.floor(m.real - re_min - 0.5) + 1)
     m_eff = m - k0
-    base = base_frame(model, m_eff, float(path.base_value))
-    near = continue_frame(base, path, tol=tol)
-    mono = loop_monodromy(model, m_eff, near, simple_loop_plan(path), tol=tol)
-    target = -cmath.exp(-2j * math.pi * m)
-    vals, vecs = np.linalg.eig(mono)
-    j = int(np.argmin(np.abs(vals - target)))
-    if abs(vals[j] - target) > 1e-5:
-        raise RuntimeError("no monodromy eigenvalue near -q^-2")
-    gaps = np.abs(np.delete(vals, j) - vals[j])
-    if gaps.size and gaps.min() < 1e-4:
-        raise RuntimeError(
-            "monodromy eigenvalues cluster within %g; move m away from "
-            "half-integers" % gaps.min()
-        )
-    b0 = vecs[:, j]
-    # march down the ray toward u_i and extract the leading coefficient
-    # of s^(m+1/2) I from five halved radii by Richardson extrapolation
-    u = sd.u
-    u_i = complex(u[i])
-    branch = path.end_log_branch
-    s_here = abs(branch.value)
-    unit = branch.value / s_here
-    phi = branch.log.imag
-    if model.dim > 1:
-        diffs = np.abs(u[:, None] - u[None, :])
-        gap = float(diffs[diffs > 0].min())
-    else:
-        gap = s_here
-    radii = [min(s_here, 0.05 * gap) / 2.0**k for k in range(5)]
-    rhs = _ode_rhs(model, m_eff)
-    clearance = radii[-1] / 4.0
-    table = []
-    value = near.value
-    s_prev = s_here
-    for s in radii:
-        if s < s_prev:
-            seg = np.array([u_i + s_prev * unit, u_i + s * unit])
-            value = continue_linear_ode(
-                rhs, value, seg, tol=tol, singularities=u, min_clearance=clearance
-            )
-        power = cmath.exp((m_eff + 0.5) * complex(math.log(s), phi))
-        table.append(power * (value @ b0))
-        s_prev = s
-    for level in range(1, len(radii)):
-        weight = 2.0**level
-        table = [
-            (weight * table[k + 1] - table[k]) / (weight - 1.0)
-            for k in range(len(table) - 1)
-        ]
-    limit = table[0]
-    lead = math.sqrt(TWO_PI) * rgamma(0.5 - m_eff) * sd.psi[:, i]
-    k = int(np.argmax(np.abs(limit)))
-    scale = lead[k] / limit[k]
-    misfit = float(np.abs(scale * limit - lead).max() / np.abs(lead).max())
-    if misfit > 1e-5:
-        raise RuntimeError(
-            "leading coefficient misfit %.3g exceeds 1e-5; the path may "
-            "hug another spectral point" % misfit
-        )
-    return ReflectionVector(scale * b0, path, m, 0)
+    near = continue_frame(base_frame(model, m_eff, float(path.base_value)), path, tol=tol)
+    local = local_laurent_frame(model, model.base_point, i, m_eff, _LAURENT_ORDER)
+    beta = np.linalg.solve(near.value, local.eval(path.end_log_branch))
+    return ReflectionVector(beta, path, m, 0)
 
 
-def _hm_matrix(model, m, lam0):
-    """Matrix of h_m in flat coordinates, from frames at lambda0."""
-    up = base_frame(model, m, lam0)
-    dn = base_frame(model, -complex(m), lam0)
-    lam = up.at.value
-    shifted = lam * np.eye(model.dim) - model.euler.astype(complex)
-    return up.value.T @ np.asarray(model.pairing, dtype=complex) @ shifted @ dn.value
+def _unipotent_exp(rho, sign):
+    """exp(sign i pi rho) of a nilpotent rho as a finite sum."""
+    rho = np.asarray(rho, dtype=complex)
+    n = rho.shape[0]
+    out = np.eye(n, dtype=complex)
+    term = np.eye(n, dtype=complex)
+    for k in range(1, n):
+        term = term @ (sign * 1j * math.pi * rho) / k
+        out = out + term
+    return out
 
 
-def _hm_pair(model, m):
-    umax = float(np.abs(_spectrum(model)).max())
-    first = _hm_matrix(model, m, 2.6 * umax)
-    second = _hm_matrix(model, m, 3.4 * umax)
-    drift = float(np.abs(first - second).max())
-    if drift > 1e-8 * max(1.0, float(np.abs(first).max())):
-        raise RuntimeError(
-            "h_m drifts by %.3g between evaluation radii; continuation is "
-            "inconsistent" % drift
-        )
-    return first
+def _euler_matrix(model):
+    """Matrix of the Euler pairing: g e^{i pi theta} e^{i pi rho} / 2 pi."""
+    exp_theta = np.diag(np.exp(1j * math.pi * model.theta_eigenvalues))
+    g = np.asarray(model.pairing, dtype=complex)
+    return g @ exp_theta @ _unipotent_exp(model.rho, +1.0) / TWO_PI
 
 
 def hm_pairing(model, m, a, b):
-    """Twisted pairing h_m(a, b) of flat coordinate vectors.
-
-    Computed as the lambda-independent combination of the m and -m
-    period frames; the value is checked against a second evaluation
-    radius before being returned.
-    """
+    """Twisted pairing h_m(a, b) of flat coordinate vectors."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    return complex(a @ _hm_pair(model, m) @ b)
+    return complex(a @ hm_matrix(model, m) @ b)
 
 
 def hm_matrix(model, m):
-    """Gram matrix of h_m on the flat coordinate basis.
+    """Gram matrix of h_m on the flat coordinate basis: q E + E^T / q.
 
-    hm_pairing(model, m, a, b) equals a @ hm_matrix(model, m) @ b; use
-    this form when many pairings against the same model are needed.
+    Here q = e^{i pi m} and E is the Euler pairing.  h_m does not depend
+    on lambda, and its leading term at infinity involves only g, theta
+    and rho, which gives this closed form.  hm_pairing(model, m, a, b)
+    equals a @ hm_matrix(model, m) @ b; use this form when many pairings
+    against the same model are needed.
     """
-    return _hm_pair(model, m).copy()
+    q = cmath.exp(1j * math.pi * complex(m))
+    e = _euler_matrix(model)
+    return q * e + e.T / q
 
 
 def euler_pairing_coh(model, a, b):
     """Euler pairing of flat coordinate vectors, exact and finite."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    n = model.dim
-    rho = 1j * math.pi * model.rho.astype(complex)
-    term = np.eye(n, dtype=complex)
-    exp_rho = np.eye(n, dtype=complex)
-    for k in range(1, n):
-        term = term @ rho / k
-        exp_rho += term
-    exp_theta = np.diag(np.exp(1j * math.pi * model.theta_eigenvalues))
-    g = np.asarray(model.pairing, dtype=complex)
-    return complex(a @ g @ exp_theta @ exp_rho @ b) / TWO_PI
+    return complex(a @ _euler_matrix(model) @ b)
 
 
 def dual_reflection_basis(model, m, betas):
@@ -393,7 +327,7 @@ def dual_reflection_basis(model, m, betas):
     )
     if cols.shape != (model.dim, model.dim):
         raise ValueError("need exactly dim reflection vectors")
-    gram = _hm_pair(model, m) @ cols
+    gram = hm_matrix(model, m) @ cols
     if not np.all(np.isfinite(gram)) or np.linalg.cond(gram) > 1e10:
         raise ValueError("h_m is degenerate at m=%s" % m)
     duals = np.linalg.solve(gram.T, np.eye(model.dim))

@@ -49,11 +49,11 @@ from .periods import (
     ReflectionVector,
     base_frame,
     continue_frame,
-    dual_reflection_basis,
     free_plan,
     hm_matrix,
     local_laurent_frame,
     reflection_vector,
+    _unipotent_exp,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -68,6 +68,9 @@ _CONE_MARGIN = 0.02  # minimum normalized decay rate along a seed ray
 _CRITICAL_MARGIN = 1e-9
 _ODE_TOL = 1e-11
 _FIT_TOL = 1e-6
+# relative miss of the normalization h_m(beta, beta) = q + 1/q at which
+# extracted reflection vectors are no longer trusted
+_SELF_PAIRING_TOL = 3e-7
 
 
 @dataclass(frozen=True)
@@ -553,7 +556,8 @@ def monodromy_data_from_reflections(model, t, eta, m, base_value=None):
     Extracts one reflection vector per spectral point along the
     reference paths of eta; the inverse Stokes matrix has entries
     q^{-1} h_m(beta_k, beta_l) above its unit diagonal and C is
-    beta^T g / sqrt(2 pi).
+    beta^T g / sqrt(2 pi).  Raises when some h_m(beta_k, beta_k) misses
+    q + 1/q by more than _SELF_PAIRING_TOL relative.
     """
     sd = canonical_data(model, t)
     u = sd.u
@@ -565,6 +569,13 @@ def monodromy_data_from_reflections(model, t, eta, m, base_value=None):
     cols = np.column_stack([b.beta for b in betas])
     gram = cols.T @ hm_matrix(model, m) @ cols
     q = cmath.exp(1j * math.pi * complex(m))
+    miss = float(np.abs(np.diagonal(gram) - (q + 1 / q)).max() / abs(q + 1 / q))
+    if miss > _SELF_PAIRING_TOL:
+        raise RuntimeError(
+            "reflection vectors miss h_m(beta, beta) = q + 1/q by {:.3g} "
+            "relative; double precision does not carry the frames of this "
+            "model".format(miss)
+        )
     w = np.eye(n, dtype=complex)
     for i in range(n):
         for j in range(i + 1, n):
@@ -664,18 +675,6 @@ def _target_index(pos_of, position):
 # -- consistency checks -----------------------------------------------------
 
 
-def _unipotent_exp(rho, sign):
-    """exp(sign i pi rho) of a nilpotent rho as a finite sum."""
-    rho = np.asarray(rho, dtype=complex)
-    n = rho.shape[0]
-    out = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, n):
-        term = term @ (sign * 1j * math.pi * rho) / k
-        out = out + term
-    return out
-
-
 def _half_twist_residual(data, model):
     """Mutated vectors against a fresh extraction for the opposite
     direction; slots of the flipped system are matched by target."""
@@ -770,18 +769,16 @@ def consistency_report(data, model, half_twist=True):
         add("hm-through-stokes", 1e-5, hm_resid)
 
         def dual_resid():
-            duals = dual_reflection_basis(model, m, list(data.betas))
+            # the duals of the betas under h_m are sqrt(2 pi) op^-1 C^-1;
+            # multiplied out, the identity needs neither duals nor inverses
+            # and stays defined where h_m is degenerate
             up = np.diag(np.exp(1j * math.pi * model.theta_eigenvalues))
             up = up @ _unipotent_exp(model.rho, +1.0)
             dn = np.diag(np.exp(-1j * math.pi * model.theta_eigenvalues))
             dn = dn @ _unipotent_exp(model.rho, -1.0)
             op = up / q + q * dn
-            kinv = np.linalg.inv(np.asarray(data.c_matrix, dtype=complex))
-            worst = 0.0
-            for i in range(len(duals)):
-                got = math.sqrt(TWO_PI) * np.linalg.solve(op, kinv[:, i])
-                worst = max(worst, float(np.abs(got - duals[i]).max()))
-            return worst
+            lhs = math.sqrt(TWO_PI) * cols.T @ hm_matrix(model, m).T
+            return np.abs(lhs - np.asarray(data.c_matrix) @ op).max()
 
         add("central-connection-duals", 1e-5, dual_resid)
         if half_twist:

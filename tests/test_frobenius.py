@@ -293,6 +293,56 @@ class TestCalibration:
                         assert abs(s[k][r, c]) < 1e-12 * max(1.0, abs(q) ** 2)
             assert np.abs(dlog - want).max() < 1e-10 * max(1.0, abs(q) ** 2)
 
+    def test_stored_prefix_extends_by_the_same_recursion(self):
+        m = qh_projective_space(3, cmath.exp(0.2j))
+        full = calibration_series(m, 30)
+        prefix = FrobeniusModel(
+            dim=m.dim,
+            conformal_dim=m.conformal_dim,
+            pairing=m.pairing,
+            theta_eigenvalues=m.theta_eigenvalues,
+            rho=m.rho,
+            structure_constants=m.structure,
+            euler_multiplication=m.euler,
+            base_point=m.base_point,
+            calibration=full[:6],
+        )
+        for a, b in zip(calibration_series(prefix, 30), full):
+            assert np.array_equal(a, b)
+
+    def test_inconsistent_kernel_slot_raises(self):
+        # theta = (1/2, -1/2) makes slot (1, 0) resonant at order 1, where
+        # the right-hand side E - rho does not vanish
+        model = FrobeniusModel(
+            dim=2,
+            conformal_dim=1.0,
+            pairing=[[0.0, 1.0], [1.0, 0.0]],
+            theta_eigenvalues=[0.5, -0.5],
+            rho=np.zeros((2, 2)),
+            structure_constants=[np.eye(2), [[0.0, 1.0], [0.0, 0.0]]],
+            euler_multiplication=[[0.0, 0.0], [1.0, 0.0]],
+            base_point=[0.0, 0.0],
+        )
+        with pytest.raises(RuntimeError, match="kernel slot"):
+            calibration_series(model, 1)
+
+    def test_stored_terms_must_follow_the_recursion(self):
+        m = qh_projective_space(1, 1.0)
+        fields = dict(
+            dim=2,
+            conformal_dim=1.0,
+            pairing=m.pairing,
+            theta_eigenvalues=m.theta_eigenvalues,
+            rho=m.rho,
+            structure_constants=m.structure,
+            euler_multiplication=m.euler,
+            base_point=m.base_point,
+        )
+        with pytest.raises(ModelValidationError, match="S_0"):
+            FrobeniusModel(calibration=[2.0 * np.eye(2)], **fields)
+        with pytest.raises(ModelValidationError, match="term 2"):
+            FrobeniusModel(calibration=[np.eye(2), S1_P1, 3.0 * S2_P1], **fields)
+
     def test_qde_flatness_residual(self):
         rng = np.random.default_rng(5)
         m = qh_projective_space(2, cmath.exp(0.2j))

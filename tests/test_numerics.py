@@ -10,6 +10,7 @@ from qstokes.numerics import (
     Jet,
     LogBranchPoint,
     calibrated_period,
+    calibrated_periods,
     complex_gamma,
     continue_linear_ode,
     operator_power,
@@ -242,6 +243,37 @@ class TestCalibratedPeriod:
         a = calibrated_period(P1_THETA, P1_RHO, 0.3, lam)
         b = calibrated_period(P1_THETA, P1_RHO, 0.3, wound)
         assert np.abs(a - b).max() > 1e-3
+
+
+class TestCalibratedPeriods:
+    @staticmethod
+    def pn_grading(n):
+        theta = np.diag([n / 2.0 - k for k in range(n + 1)]).astype(complex)
+        rho = np.diag(np.full(n, n + 1.0), -1).astype(complex)
+        return theta, rho
+
+    def test_terms_match_calibrated_period_at_shifted_m(self):
+        # the Gamma shift must reproduce the direct Stirling evaluation
+        # at m + k, on the principal and on a wound branch
+        lams = (
+            LogBranchPoint.principal(7.5),
+            LogBranchPoint(3.0 * cmath.exp(0.4j), complex(math.log(3.0), 0.4 + 2.0 * math.pi)),
+        )
+        for n in (1, 4):
+            theta, rho = self.pn_grading(n)
+            for m in (0.0, 0.3, -3.7, 0.2 + 0.3j):
+                for lam in lams:
+                    terms = calibrated_periods(theta, rho, m, lam)
+                    for k in range(25):
+                        got = next(terms)
+                        want = calibrated_period(theta, rho, m + k, lam)
+                        scale = np.abs(want).max()
+                        assert np.abs(got - want).max() <= 1e-11 * scale
+
+    def test_first_term_is_calibrated_period(self):
+        lam = LogBranchPoint.principal(2.0 * cmath.exp(0.3j))
+        first = next(calibrated_periods(P1_THETA, P1_RHO, 0.3, lam))
+        assert np.array_equal(first, calibrated_period(P1_THETA, P1_RHO, 0.3, lam))
 
 
 class TestContinueLinearOde:

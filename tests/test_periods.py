@@ -120,7 +120,7 @@ def reverse_plan(plan):
 
 
 def trivial_model():
-    """Two-dimensional model with rho = 0 and calibration S = 1."""
+    """Two-dimensional model with rho = 0 and E = 0, so S_k = 0 for k > 0."""
     return FrobeniusModel(
         dim=2,
         conformal_dim=0.7,
@@ -128,7 +128,7 @@ def trivial_model():
         theta_eigenvalues=[0.35, -0.35],
         rho=np.zeros((2, 2)),
         structure_constants=[np.eye(2), [[0.0, 1.0], [0.0, 0.0]]],
-        euler_multiplication=np.diag([1.0, -1.0]),
+        euler_multiplication=np.zeros((2, 2)),
         base_point=[0.0, 0.0],
         calibration=[np.eye(2)],
         name="trivial",
@@ -138,7 +138,7 @@ def trivial_model():
 class TestBaseFrame:
     def test_trivial_calibration_collapses_to_closed_form(self):
         model = trivial_model()
-        frame = base_frame(model, 0.3, 3.0, order=0)
+        frame = base_frame(model, 0.3, 3.0)
         expected = np.zeros((2, 2), dtype=complex)
         for k, a in enumerate((0.35, -0.35)):
             expected[k, k] = 3.0 ** (a - 0.8) / math.gamma(a + 0.2)
@@ -340,9 +340,13 @@ class TestHmPairing:
                 assert abs(lhs - rhs) < 1e-9
 
     def test_twist_weighted_closed_form(self):
+        # independent side: h_m as the lambda-independent combination
+        # I_m^T g (lambda - E) I_{-m} of base frames, at two radii
         rng = np.random.default_rng(13)
         for model in (P1, P2):
             n = model.dim
+            g = np.asarray(model.pairing, dtype=complex)
+            umax = float(np.abs(np.linalg.eigvals(model.euler)).max())
             for m in (0.3, 0.45):
                 q = twist(m)
                 a = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -350,6 +354,12 @@ class TestHmPairing:
                 expect = q * euler_pairing_coh(model, a, b)
                 expect += euler_pairing_coh(model, b, a) / q
                 assert abs(hm_pairing(model, m, a, b) - expect) < 1e-7
+                for lam in (2.6 * umax, 3.4 * umax):
+                    up = base_frame(model, m, lam).value
+                    dn = base_frame(model, -m, lam).value
+                    shifted = lam * np.eye(n) - model.euler
+                    frames = a @ up.T @ g @ shifted @ dn @ b
+                    assert abs(frames - expect) < 1e-7
 
     def test_matrix_form_agrees_with_pairing(self):
         from qstokes.periods import hm_matrix
@@ -414,6 +424,34 @@ class TestReflectionVector:
         b = beta_for(P1, m, 1).beta
         b2 = reflection_vector(P1, m, shifted).beta
         assert np.abs(b2 - (-twist(m) ** -2) * b).max() < 1e-6
+
+    def test_is_loop_monodromy_eigenvector(self):
+        # beta comes from the Laurent frame, without a loop; it must
+        # still be the -q^-2 eigenvector of the elementary loop.  At
+        # m = -1.7 the base frame of P^1..P^3 is well conditioned.
+        m = -1.7
+        target = -twist(m) ** -2
+        p3 = qh_projective_space(3, cmath.exp(0.2j))
+        u3 = canonical_data(p3, p3.base_point).u
+        p3_system = reference_system(u3, Direction.reference().rotated(0.3), 10.0)
+        cases = [(P1, plan_for(P1, s)) for s in (0, 1)]
+        cases += [(P2, plan_for(P2, s)) for s in (0, 2)]
+        cases += [(p3, p3_system.paths[s]) for s in (1, 3)]
+        for model, plan in cases:
+            beta = reflection_vector(model, m, plan).beta
+            near = continue_frame(base_frame(model, m, plan.base_value), plan, 1e-11)
+            mono = loop_monodromy(model, m, near, simple_loop_plan(plan), tol=1e-11)
+            scale = np.abs(beta).max()
+            assert np.abs(mono @ beta - target * beta).max() < 1e-9 * scale
+
+    def test_far_standoff_rejected(self):
+        # the Laurent expansion at u = 2 converges only out to u = -2
+        far = PathPlan(
+            np.array([P1_BASE, 4.5]), 1, LogBranchPoint.principal(2.5), P1_BASE
+        )
+        assert abs(far.target_point() - 2.0) < 1e-12
+        with pytest.raises(ValueError, match="ends"):
+            reflection_vector(P1, 0.3, far)
 
     def test_half_integer_m_rejected(self):
         for m in (0.5, -1.5):

@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from qstokes.frobenius import canonical_data, qh_projective_space
+from qstokes.frobenius import canonical_data, load_model, qh_projective_space, save_model
 from qstokes.paths import Direction, reference_system
 from qstokes.periods import hm_matrix, reflection_vector
 from qstokes.stokes import (
@@ -436,6 +436,47 @@ class TestWallCrossing:
         mixed = (reflected_for(P1).betas[0], reflected_for(P1, 0.3).betas[1])
         with pytest.raises(ValueError):
             wallcrossing_matrices(P1, P1.base_point, mixed, 0)
+
+
+class TestModelFileRoutes:
+    """Models read back from JSON extend their stored calibration by the
+    same recursion, so both routes reproduce the built-in data."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_round_trip_matches_builtin(self, n, tmp_path):
+        m = 0.3
+        if n <= 2:
+            built = {1: P1, 2: P2}[n]
+            eta = ETA_FOR[built.name]
+            pairs = [(reflected_for(built, m), monodromy_data_from_reflections),
+                     (analytic_for(built), monodromy_data_analytic)]
+        else:
+            built = qh_projective_space(n, cmath.exp(0.2j))
+            eta = ETA_P2
+            want = monodromy_data_from_reflections(built, built.base_point, eta, m)
+            pairs = [(want, monodromy_data_from_reflections)]
+        path = tmp_path / "model.json"
+        save_model(built, path)
+        loaded = load_model(path)
+        for want, route in pairs:
+            args = (eta, m) if route is monodromy_data_from_reflections else (eta,)
+            got = route(loaded, loaded.base_point, *args)
+            assert compare_monodromy_data(want, got)["max"] < 1e-9
+            v = np.asarray(got.v_plus)
+            assert np.abs(v - np.round(v.real)).max() < 1e-6
+
+    @pytest.mark.slow
+    def test_p8_raises_or_returns_integer_stokes(self):
+        # past what double precision carries the route must raise, never
+        # return a V+ away from the integers
+        model = qh_projective_space(8, cmath.exp(0.2j))
+        try:
+            data = monodromy_data_from_reflections(model, model.base_point, ETA_P2, 0.0)
+        except RuntimeError as exc:
+            assert "h_m(beta, beta)" in str(exc)
+            return
+        v = np.asarray(data.v_plus)
+        assert np.abs(v - np.round(v.real)).max() < 1e-2
 
 
 class TestConsistencyReport:
