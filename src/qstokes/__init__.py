@@ -1,9 +1,12 @@
 """Monodromy data of semisimple Frobenius manifolds.
 
-The package computes twisted reflection vectors, Stokes matrices and
-central connection matrices for quantum cohomology (projective spaces
-built in) and checks them against the exceptional-collection arithmetic
-on the K-theory side.
+The package computes twisted reflection vectors, the twisted pairing
+h_m, Stokes matrices, central connection matrices and wall-crossing
+matrices for constant Frobenius models (the quantum cohomology of
+projective spaces built in, other models loaded from JSON).  Two
+independent routes give the data, direct integration of the z-plane
+ODE and assembly from reflection vectors in the spectral plane, and
+consistency_report checks the identities it must satisfy.
 """
 
 __version__ = "0.1.0"

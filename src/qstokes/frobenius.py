@@ -13,6 +13,7 @@ import json
 import numpy as np
 
 from .numerics import _nilpotent_powers
+from .paths import _min_gap
 
 __all__ = [
     "ModelValidationError",
@@ -55,7 +56,6 @@ class FrobeniusModel:
         euler_multiplication,
         base_point,
         calibration=None,
-        novikov=None,
         name="model",
     ):
         self.dim = int(dim)
@@ -70,7 +70,6 @@ class FrobeniusModel:
         if calibration is None:
             calibration = [np.eye(self.dim)]
         self._calibration = [np.array(s, dtype=complex) for s in calibration]
-        self.novikov = novikov
         self.name = name
         self._validate()
 
@@ -100,7 +99,7 @@ class FrobeniusModel:
             )
         if abs(np.linalg.det(g)) < 1e-12 * scale**n:
             raise ModelValidationError("(F1) pairing must be non-degenerate")
-        ops = self.mult(self.base_point)
+        ops = self.mult()
         r = _resid(ops[0] - np.eye(n))
         if r > 1e-12:
             raise ModelValidationError(
@@ -164,15 +163,9 @@ class FrobeniusModel:
 
     # -- data accessors --------------------------------------------------
 
-    def mult(self, t):
-        """Operators of multiplication by the basis vectors at t."""
-        self._check_point(t)
+    def mult(self):
+        """Operators of multiplication by the basis vectors."""
         return [self.structure[i].T.copy() for i in range(self.dim)]
-
-    def euler_mult(self, t):
-        """Operator of multiplication by the Euler field at t."""
-        self._check_point(t)
-        return self.euler.copy()
 
     def calibration(self, order):
         """Calibration matrices [S_0 = 1, S_1, ..., S_order].
@@ -252,7 +245,6 @@ def qh_projective_space(n, q):
         structure_constants=structure,
         euler_multiplication=euler,
         base_point=np.zeros(dim),
-        novikov=q,
         name="P{}(q={})".format(n, q),
     )
     return model
@@ -350,43 +342,36 @@ def load_model(path):
 class SemisimpleData:
     """Eigendata of the Euler multiplication at a semisimple point."""
 
-    def __init__(self, u, delta, psi, order_tag):
+    def __init__(self, u, psi, psi_inv):
         self.u = u
-        self.delta = delta
         self.psi = psi
-        self.order_tag = order_tag
-
-    @property
-    def psi_inv(self):
-        # Psi^t g Psi = 1, so the inverse never needs a linear solve;
-        # the pairing is stashed on the instance by canonical_data.
-        return self.psi.T @ self._pairing
+        self.psi_inv = psi_inv
 
 
 def canonical_data(model, t):
-    """Canonical coordinates u_i, normalizations and the Psi frame.
+    """Canonical coordinates u_i and the Psi frame at the base point t.
 
     Eigenvalues come out sorted by (Re, Im); column i of Psi is
     sqrt(Delta_i) times the idempotent of u_i, with the square-root
     branch chosen so the largest-modulus entry of the column has
-    argument in (-pi/2, pi/2].
+    argument in (-pi/2, pi/2].  Psi^t g Psi = 1, so psi_inv is Psi^t g.
     """
-    euler = model.euler_mult(t)
+    model._check_point(t)
+    euler = model.euler
     vals, vecs = np.linalg.eig(euler)
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     vecs = vecs[:, order]
     dim = model.dim
     scale = max(np.abs(vals).max(), 1e-30)
-    gaps = np.abs(vals[:, None] - vals[None, :]) + np.diag([np.inf] * dim)
-    if gaps.min() <= 1e-8 * scale:
+    gap = _min_gap(vals)
+    if gap <= 1e-8 * scale:
         raise RuntimeError(
-            "Euler eigenvalues collide (caustic): min gap {:.3g}".format(gaps.min())
+            "Euler eigenvalues collide (caustic): min gap {:.3g}".format(gap)
         )
-    ops = model.mult(t)
+    ops = model.mult()
     g = model.pairing
     cols = []
-    deltas = []
     for i in range(dim):
         v = vecs[:, i]
         mv = sum(v[a] * ops[a] for a in range(dim))
@@ -397,7 +382,6 @@ def canonical_data(model, t):
             raise RuntimeError("eigenvector {} is not multiplicative".format(i))
         idem = v / c
         pair = complex(idem @ g @ idem)
-        deltas.append(1.0 / pair)
         col = idem / cmath.sqrt(pair)
         k = int(np.argmax(np.abs(col)))
         z = col[k]
@@ -410,9 +394,7 @@ def canonical_data(model, t):
         raise RuntimeError("Psi columns fail the eigenvector equation")
     if _resid(psi.T @ g @ psi - np.eye(dim)) > 1e-10:
         raise RuntimeError("Psi is not orthonormal for the pairing")
-    data = SemisimpleData(vals, np.array(deltas), psi, order)
-    data._pairing = g
-    return data
+    return SemisimpleData(vals, psi, psi.T @ g)
 
 
 def calibration_series(model, order):
@@ -420,8 +402,8 @@ def calibration_series(model, order):
     return model.calibration(order)
 
 
-def rmatrix_series(model, t, order):
-    """Givental R-matrix series [R_0 = 1, R_1, ..., R_order] at t.
+def rmatrix_series(model, order):
+    """Givental R-matrix series [R_0 = 1, R_1, ..., R_order].
 
     Off-diagonal entries solve [U, R_{k}] = (V - (k-1)) R_{k-1} with
     V = Psi^{-1} theta Psi; the diagonal of R_k follows from the
@@ -429,7 +411,7 @@ def rmatrix_series(model, t, order):
     involves the already-known off-diagonal entries since V has zero
     diagonal.
     """
-    sd = canonical_data(model, t)
+    sd = canonical_data(model, model.base_point)
     u = sd.u
     psi_inv = sd.psi_inv
     v_op = psi_inv @ model.theta @ sd.psi

@@ -97,14 +97,6 @@ class Jet:
     def __rtruediv__(self, other):
         return self._coerce(other) * self.reciprocal()
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("jet powers must be non-negative integers")
-        out = self._coerce(1.0)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def reciprocal(self):
         a0 = self.c[0]
         if a0 == 0:
@@ -250,21 +242,14 @@ class LogBranchPoint:
         return complex(self.value)
 
 
-def _eigenframe(theta):
-    """Eigenvalues of theta plus (vecs, inv) frame, or (None, None) if diagonal."""
+def _diagonal(theta):
+    """Eigenvalues of a diagonal theta; the grading is diagonal in every
+    model basis, so any other theta is rejected."""
     theta = np.asarray(theta, dtype=complex)
-    off = theta - np.diag(np.diagonal(theta))
-    if not off.any():
-        return np.diagonal(theta).astype(complex), None, None
-    vals, vecs = np.linalg.eig(theta)
-    try:
-        inv = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError:
-        raise ValueError("operator is not diagonalizable") from None
-    scale = max(1.0, np.abs(theta).max())
-    if np.abs(vecs @ np.diag(vals) @ inv - theta).max() > 1e-9 * scale:
-        raise ValueError("eigenframe too ill-conditioned to trust")
-    return vals, vecs, inv
+    vals = np.diagonal(theta)
+    if (theta - np.diag(vals)).any():
+        raise ValueError("theta must be diagonal")
+    return vals.astype(complex)
 
 
 def _nilpotent_powers(rho, dim):
@@ -284,15 +269,13 @@ def _nilpotent_powers(rho, dim):
 def operator_power(lam, theta, rho):
     """lambda^theta * lambda^(-rho) with the branch carried by lam.
 
-    theta must be diagonalizable, rho nilpotent; the rho factor is the
-    finite sum exp(-rho log lambda).
+    theta must be diagonal, rho nilpotent; the rho factor is the finite
+    sum exp(-rho log lambda).
     """
-    theta = np.asarray(theta, dtype=complex)
-    dim = theta.shape[0]
-    vals, vecs, vinv = _eigenframe(theta)
+    vals = _diagonal(theta)
+    dim = len(vals)
     L = lam.log
-    diag = np.diag(np.exp(vals * L))
-    left = diag if vecs is None else vecs @ diag @ vinv
+    left = np.diag(np.exp(vals * L))
     right = np.zeros((dim, dim), dtype=complex)
     for l, rp in enumerate(_nilpotent_powers(rho, dim)):
         right += ((-L) ** l / math.factorial(l)) * rp
@@ -309,12 +292,11 @@ def calibrated_periods(theta, rho, m, lam):
     lambda-derivatives f_j = lambda^(s-j-eps)/Gamma(s-j-eps+1) obey
     f_{j+1} = (s - j - eps) f_j / lambda, and the operator at m + k
     reads coefficient l of f_{k+l} against rho^l.  So one Stirling jet
-    per eigenvalue serves every term.  Uses reciprocal Gamma, so integer
-    spectra are fine (entries just vanish).
+    per eigenvalue serves every term.  theta must be diagonal.  Uses
+    reciprocal Gamma, so integer spectra are fine (entries just vanish).
     """
-    theta = np.asarray(theta, dtype=complex)
-    dim = theta.shape[0]
-    vals, vecs, vinv = _eigenframe(theta)
+    vals = _diagonal(theta)
+    dim = len(vals)
     rho_pows = _nilpotent_powers(rho, dim)
     order = len(rho_pows)
     L = lam.log
@@ -335,10 +317,7 @@ def calibrated_periods(theta, rho, m, lam):
             j += 1
         total = np.zeros((dim, dim), dtype=complex)
         for l, rp in enumerate(rho_pows):
-            block = np.diag(window[l][:, l])
-            if vecs is not None:
-                block = vecs @ block @ vinv
-            total += (-1.0) ** l * (rp @ block)
+            total += (-1.0) ** l * (rp @ np.diag(window[l][:, l]))
         yield total
         window.pop(0)
 
@@ -364,8 +343,11 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
+# tolerance of every continuation the package runs, in both planes
+_ODE_TOL = 1e-11
 
-def continue_linear_ode(rhs, y0, path, tol=1e-10, singularities=(), min_clearance=None):
+
+def continue_linear_ode(rhs, y0, path, tol=_ODE_TOL, singularities=(), min_clearance=None):
     """Continue y' = rhs(lambda) . y along a polyline of complex points.
 
     Adaptive embedded 5(4) pair with mixed absolute/relative local error

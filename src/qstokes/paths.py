@@ -116,6 +116,13 @@ def _unit(z):
     return z / abs(z)
 
 
+def _min_gap(u):
+    """Smallest distance between two of the points u; inf for fewer than two."""
+    n = len(u)
+    return min((abs(u[i] - u[j]) for i in range(n) for j in range(i + 1, n)),
+               default=math.inf)
+
+
 def _arc(center, radius, a_from, a_to):
     """Circular arc between two lifted angles, both endpoints included."""
     steps = max(1, int(math.ceil(abs(a_to - a_from) / _TURN)))
@@ -155,10 +162,10 @@ def _segment_gaps(a, b):
     return d
 
 
-def _polyline_gap(a, b, skip_shared_start=True):
+def _polyline_gap(a, b):
+    """Min distance between two polylines, away from their shared start."""
     d = _segment_gaps(np.asarray(a), np.asarray(b))
-    if skip_shared_start:
-        d[0, 0] = np.inf
+    d[0, 0] = np.inf
     return float(d.min())
 
 
@@ -171,11 +178,6 @@ def _lifted_end_angle(pts, center):
     """Continuous argument of pts[-1] - center, tracked along the polyline."""
     rel = np.asarray(pts) - center
     return float(np.angle(rel[0]) + np.angle(rel[1:] / rel[:-1]).sum())
-
-
-def _winding(pts, center):
-    rel = np.asarray(pts) - center
-    return float(np.angle(rel[1:] / rel[:-1]).sum() / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,12 @@ class DistinguishedSystem:
     def base_value(self):
         return self.paths[0].base_value
 
-    def validate(self, min_clearance=None):
-        """Check the defining invariants, raising ValueError on a breach."""
+    def validate(self):
+        """Check the defining invariants, raising ValueError on a breach.
+
+        Paths must keep 1e-3 times the spectral spread away from every
+        spectral point but their own target.
+        """
         u = self.spectrum()
         base = self.base_value()
         angles = []
@@ -226,13 +232,12 @@ class DistinguishedSystem:
                 gap = _polyline_gap(self.paths[k].waypoints, self.paths[l].waypoints)
                 if gap <= tol:
                     raise ValueError("paths %d and %d intersect away from the base point" % (k, l))
-        if min_clearance is None:
-            spread = max((abs(a - b) for a in u for b in u), default=abs(base))
-            min_clearance = 1e-3 * (spread if spread > 0 else abs(base))
+        spread = max((abs(a - b) for a in u for b in u), default=abs(base))
+        clearance = 1e-3 * (spread if spread > 0 else abs(base))
         for slot, plan in enumerate(self.paths):
             for j in range(len(u)):
                 pts = plan.waypoints[:-1] if j == self.permutation[slot] else plan.waypoints
-                if np.abs(pts - u[j]).min() < min_clearance:
+                if np.abs(pts - u[j]).min() < clearance:
                     raise ValueError("slot %d runs too close to a spectral point" % slot)
         return self
 
@@ -292,7 +297,7 @@ def _ray_circle_hit(u_j, eta, radius):
     return -p + math.sqrt(max(p * p + radius * radius - abs(u_j) ** 2, 0.0))
 
 
-def reference_system(u, eta, base_value, min_clearance=None):
+def reference_system(u, eta, base_value):
     """The nested distinguished system of reference paths for eta.
 
     Slot k targets the k-th point of the lexicographic order. Each path
@@ -315,10 +320,7 @@ def reference_system(u, eta, base_value, min_clearance=None):
     if amin < 1e-5:
         raise ValueError("a spectral ray passes through the base point")
 
-    if n > 1:
-        gap = min(abs(u[i] - u[j]) for i in range(n) for j in range(i + 1, n))
-    else:
-        gap = base_value - umax
+    gap = _min_gap(u) if n > 1 else base_value - umax
     margin = base_value - 1.02 * umax
     r_floor = 1.02 * umax if umax > 0 else 0.5 * base_value
     # keep the ray tracks angularly rigid across the nest band so the
@@ -349,12 +351,13 @@ def reference_system(u, eta, base_value, min_clearance=None):
         branch = LogBranchPoint(s_end * eta.eta, complex(math.log(s_end)) + eta.log_eta)
         plans.append(PathPlan(pts, t, branch, base_value))
     system = DistinguishedSystem(tuple(plans), tuple(int(x) for x in order))
-    system.validate(min_clearance)
+    system.validate()
     return system
 
 
-def simple_loop(plan, anticlockwise=True):
-    """Closed polyline around the path's target, through its endpoint.
+def simple_loop(plan):
+    """Anticlockwise closed polyline around the path's target, through
+    its endpoint.
 
     The circle has the radius of the end standoff, so a frame continued
     to the endpoint can be driven around it directly.
@@ -362,8 +365,7 @@ def simple_loop(plan, anticlockwise=True):
     center = plan.target_point()
     rel = plan.end - center
     a0 = cmath.phase(rel)
-    sweep = 2.0 * math.pi if anticlockwise else -2.0 * math.pi
-    pts = np.array(_arc(center, abs(rel), a0, a0 + sweep))
+    pts = np.array(_arc(center, abs(rel), a0, a0 + 2.0 * math.pi))
     pts[0] = plan.end
     pts[-1] = plan.end
     return pts
@@ -425,11 +427,7 @@ def _pocket_composite(system, looped, tail, side):
     base = looped.base_value
     u = system.spectrum()
     u_t = looped.target_point()
-    n = len(u)
-    if n > 1:
-        gap = min(abs(u[i] - u[j]) for i in range(n) for j in range(i + 1, n))
-    else:
-        gap = abs(base - u_t)
+    gap = _min_gap(u) if len(u) > 1 else abs(base - u_t)
 
     rc = 0.7 * min(_point_polyline_distance(u_t, p.waypoints) for p in system.paths)
     hub_free = min(

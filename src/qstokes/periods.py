@@ -3,13 +3,13 @@
 A period frame packs the fundamental solutions I^(m)(lambda), column a
 holding the twisted period of the flat coordinate vector e_a.  Frames
 are assembled from the calibration series at large positive lambda
-and transported along path plans.  At a path's end the twisted
-reflection vector is read off against the local Laurent expansion at
-the target; loops around spectral points give the monodromies these
-vectors generate.  The twisted pairing h_m is a closed-form twist of
-the Euler pairing.  Every frame carries the branch of log(lambda) at
-its endpoint together with the concatenated path it was transported
-along, so that spiral factors are always attributable.
+and transported along polylines.  At the end of a reference path the
+twisted reflection vector is read off against the local Laurent
+expansion at the target; loops around spectral points give the
+monodromies these vectors generate.  The twisted pairing h_m is a
+closed-form twist of the Euler pairing.  Every frame carries the branch
+of log(lambda) at its endpoint, so that spiral factors are always
+attributable.
 """
 
 import cmath
@@ -20,7 +20,7 @@ import numpy as np
 
 from .frobenius import calibration_series, canonical_data, rmatrix_series
 from .numerics import LogBranchPoint, calibrated_periods, continue_linear_ode, rgamma
-from .paths import PathPlan, simple_loop
+from .paths import PathPlan, _min_gap
 
 TWO_PI = 2.0 * math.pi
 
@@ -29,42 +29,14 @@ _SERIES_CAP = 150
 _LAURENT_ORDER = 60
 
 
-def free_plan(points):
-    """Ad hoc continuation path with no spectral target.
-
-    The end branch records log(lambda) itself, transported from the
-    principal branch at the first point; target_index is -1.  Waypoints
-    must keep away from lambda = 0.
-    """
-    pts = np.asarray(points, dtype=complex)
-    darg = float(np.angle(pts[1:] / pts[:-1]).sum())
-    end = complex(pts[-1])
-    log = complex(math.log(abs(end)), cmath.phase(complex(pts[0])) + darg)
-    return PathPlan(pts, -1, LogBranchPoint(end, log), complex(pts[0]))
-
-
-def simple_loop_plan(plan, anticlockwise=True):
-    """Elementary loop of a path plan, as a plan of its own.
-
-    The loop starts and ends at plan.end; the declared branch gains one
-    full turn of the matching sign.
-    """
-    pts = simple_loop(plan, anticlockwise)
-    turn = TWO_PI if anticlockwise else -TWO_PI
-    branch = LogBranchPoint(
-        plan.end_log_branch.value, plan.end_log_branch.log + 1j * turn
-    )
-    return PathPlan(pts, plan.target_index, branch, plan.end)
-
-
 @dataclass(frozen=True)
 class PeriodFrame:
-    """Fundamental period matrix at one point with its branch pedigree."""
+    """Fundamental period matrix at one point, with the branch of
+    log(lambda) there."""
 
     value: np.ndarray
     at: LogBranchPoint
     m: complex
-    provenance: PathPlan
     model: object
 
     def __post_init__(self):
@@ -81,7 +53,6 @@ class ReflectionVector:
     beta: np.ndarray
     path: PathPlan
     m_tag: complex
-    spiral_exponent: int = 0
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=complex)
@@ -107,10 +78,6 @@ class LocalLaurentFrame:
         object.__setattr__(self, "coefficients", coeff)
         object.__setattr__(self, "m", complex(self.m))
         object.__setattr__(self, "center", complex(self.center))
-
-    @property
-    def order(self):
-        return len(self.coefficients) - 1
 
     def eval(self, branch):
         """Value at lambda = center + branch.value on the given branch."""
@@ -162,7 +129,7 @@ def base_frame(model, m, lambda0, order=_SERIES_CAP):
         if last is not None:
             ref = _TAIL_TOL * np.abs(total).max(axis=0)
             if np.all(np.maximum(size, last) <= ref):
-                return PeriodFrame(total, lam, m, free_plan([lam0, lam0]), model)
+                return PeriodFrame(total, lam, m, model)
         last = size
     raise RuntimeError(
         "period series tail above %g after %d terms at lambda0=%g; "
@@ -170,42 +137,34 @@ def base_frame(model, m, lambda0, order=_SERIES_CAP):
     )
 
 
-def continue_frame(frame, path, tol=1e-10, min_clearance=None):
-    """Transport a period frame along a path plan.
+def continue_frame(frame, points):
+    """Transport a period frame along a polyline of lambda values.
 
-    The path must start at the frame's point.  The endpoint branch of
-    log(lambda) and the concatenated provenance travel with the frame.
+    The polyline must start at the frame's point; the branch of
+    log(lambda) is carried along it to the endpoint.
     """
-    pts = np.asarray(path.waypoints, dtype=complex)
+    pts = np.asarray(points, dtype=complex)
     scale = max(1.0, abs(frame.at.value))
     if abs(complex(pts[0]) - frame.at.value) > 1e-9 * scale:
         raise ValueError("path does not start at the frame's point")
     u = _spectrum(frame.model)
     rhs = _ode_rhs(frame.model, frame.m)
-    value = continue_linear_ode(
-        rhs, frame.value, pts, tol=tol, singularities=u, min_clearance=min_clearance
-    )
+    value = continue_linear_ode(rhs, frame.value, pts, singularities=u)
     darg = float(np.angle(pts[1:] / pts[:-1]).sum())
     end = complex(pts[-1])
     at = LogBranchPoint(end, complex(math.log(abs(end)), frame.at.log.imag + darg))
-    prov = PathPlan(
-        np.concatenate([frame.provenance.waypoints, pts[1:]]),
-        path.target_index,
-        path.end_log_branch,
-        frame.provenance.base_value,
-    )
-    return PeriodFrame(value, at, frame.m, prov, frame.model)
+    return PeriodFrame(value, at, frame.m, frame.model)
 
 
-def loop_monodromy(model, m, base, loop, tol=1e-10, min_clearance=None):
-    """Monodromy matrix of a closed loop, acting on the right.
+def loop_monodromy(model, m, base, points):
+    """Monodromy matrix of a closed polyline, acting on the right.
 
     The continued frame equals base.value @ M, so composing loops
     multiplies their matrices in reverse traversal order.
     """
     if abs(complex(m) - base.m) > 1e-12:
         raise ValueError("m does not match the base frame")
-    pts = np.asarray(loop.waypoints, dtype=complex)
+    pts = np.asarray(points, dtype=complex)
     scale = max(1.0, abs(base.at.value))
     if abs(complex(pts[0]) - base.at.value) > 1e-9 * scale:
         raise ValueError("loop does not start at the frame's point")
@@ -216,7 +175,7 @@ def loop_monodromy(model, m, base, loop, tol=1e-10, min_clearance=None):
             "period frame is singular at m=%s; extract monodromy at m shifted "
             "by a negative integer instead" % base.m
         )
-    cont = continue_frame(base, loop, tol=tol, min_clearance=min_clearance)
+    cont = continue_frame(base, pts)
     return np.linalg.solve(base.value, cont.value)
 
 
@@ -225,7 +184,7 @@ def _half_integer(m):
     return abs(z - round(z.real)) < 1e-9
 
 
-def reflection_vector(model, m, path, tol=1e-11):
+def reflection_vector(model, m, path):
     """Twisted reflection vector attached to a reference path.
 
     I(lambda) beta is the period with the local form
@@ -233,10 +192,10 @@ def reflection_vector(model, m, path, tol=1e-11):
     coefficient, so beta solves I(lambda_e) beta = L_i(lambda_e), where
     I is the period frame continued to the path's end lambda_e and L_i
     the Laurent expansion at the target u_i, which converges out to the
-    nearest other spectral point; the path must end within half that
-    distance of u_i.  The extraction runs at m shifted down by an
-    integer, where the frame is invertible; beta does not depend on that
-    shift.
+    nearest other spectral point; the path must end within half the
+    smallest distance between two spectral points.  The extraction runs
+    at m shifted down by an integer, where the frame is invertible; beta
+    does not depend on that shift.
     """
     m = complex(m)
     if _half_integer(m):
@@ -253,19 +212,19 @@ def reflection_vector(model, m, path, tol=1e-11):
         raise ValueError("path has no spectral target")
     u = canonical_data(model, model.base_point).u
     standoff = abs(path.end_log_branch.value)
-    if model.dim > 1 and standoff > 0.5 * float(np.abs(np.delete(u, i) - u[i]).min()):
+    if standoff > 0.5 * _min_gap(u):
         raise ValueError(
-            "path ends %.3g from its target, beyond half the distance to the "
-            "nearest other spectral point" % standoff
+            "path ends %.3g from its target, beyond half the smallest "
+            "distance between spectral points" % standoff
         )
     # shift m so every exponent of theta stays right of the Gamma poles
     re_min = float(np.min(model.theta_eigenvalues.real))
     k0 = max(0, math.floor(m.real - re_min - 0.5) + 1)
     m_eff = m - k0
-    near = continue_frame(base_frame(model, m_eff, float(path.base_value)), path, tol=tol)
-    local = local_laurent_frame(model, model.base_point, i, m_eff, _LAURENT_ORDER)
+    near = continue_frame(base_frame(model, m_eff, float(path.base_value)), path.waypoints)
+    local = local_laurent_frame(model, i, m_eff, _LAURENT_ORDER)
     beta = np.linalg.solve(near.value, local.eval(path.end_log_branch))
-    return ReflectionVector(beta, path, m, 0)
+    return ReflectionVector(beta, path, m)
 
 
 def _unipotent_exp(rho, sign):
@@ -280,39 +239,31 @@ def _unipotent_exp(rho, sign):
     return out
 
 
-def _euler_matrix(model):
-    """Matrix of the Euler pairing: g e^{i pi theta} e^{i pi rho} / 2 pi."""
-    exp_theta = np.diag(np.exp(1j * math.pi * model.theta_eigenvalues))
+def _twist_factors(model, sign):
+    """The factors e^{sign i pi theta} and e^{sign i pi rho}."""
+    exp_theta = np.diag(np.exp(sign * 1j * math.pi * model.theta_eigenvalues))
+    return exp_theta, _unipotent_exp(model.rho, sign)
+
+
+def euler_matrix(model):
+    """Gram matrix of the Euler pairing on the flat coordinate basis,
+    g e^{i pi theta} e^{i pi rho} / 2 pi, exact and finite."""
+    exp_theta, exp_rho = _twist_factors(model, +1.0)
     g = np.asarray(model.pairing, dtype=complex)
-    return g @ exp_theta @ _unipotent_exp(model.rho, +1.0) / TWO_PI
-
-
-def hm_pairing(model, m, a, b):
-    """Twisted pairing h_m(a, b) of flat coordinate vectors."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return complex(a @ hm_matrix(model, m) @ b)
+    return g @ exp_theta @ exp_rho / TWO_PI
 
 
 def hm_matrix(model, m):
     """Gram matrix of h_m on the flat coordinate basis: q E + E^T / q.
 
-    Here q = e^{i pi m} and E is the Euler pairing.  h_m does not depend
-    on lambda, and its leading term at infinity involves only g, theta
-    and rho, which gives this closed form.  hm_pairing(model, m, a, b)
-    equals a @ hm_matrix(model, m) @ b; use this form when many pairings
-    against the same model are needed.
+    Here q = e^{i pi m} and E = euler_matrix(model), so h_m(a, b) is
+    a @ hm_matrix(model, m) @ b.  h_m does not depend on lambda, and its
+    leading term at infinity involves only g, theta and rho, which gives
+    this closed form.
     """
     q = cmath.exp(1j * math.pi * complex(m))
-    e = _euler_matrix(model)
+    e = euler_matrix(model)
     return q * e + e.T / q
-
-
-def euler_pairing_coh(model, a, b):
-    """Euler pairing of flat coordinate vectors, exact and finite."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return complex(a @ _euler_matrix(model) @ b)
 
 
 def dual_reflection_basis(model, m, betas):
@@ -337,15 +288,15 @@ def dual_reflection_basis(model, m, betas):
     return [duals[:, i] for i in range(model.dim)]
 
 
-def local_laurent_frame(model, t, i, m, order):
+def local_laurent_frame(model, i, m, order):
     """Fractional Laurent expansion of the period column at u_i.
 
     Coefficient k is sqrt(2 pi) (-1)^k Psi R_k e_i / Gamma(k - m + 1/2),
     paired with the exponent k - m - 1/2.
     """
     m = complex(m)
-    sd = canonical_data(model, t)
-    rs = rmatrix_series(model, t, int(order))
+    sd = canonical_data(model, model.base_point)
+    rs = rmatrix_series(model, int(order))
     rows = []
     for k, r in enumerate(rs):
         coeff = math.sqrt(TWO_PI) * (-1) ** k * rgamma(k - m + 0.5)

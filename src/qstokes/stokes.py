@@ -40,6 +40,7 @@ from .frobenius import calibration_series, canonical_data, rmatrix_series
 from .numerics import LogBranchPoint, continue_linear_ode, operator_power
 from .paths import (
     Direction,
+    _min_gap,
     critical_directions,
     eta_sequences,
     lexicographic_order,
@@ -49,11 +50,10 @@ from .periods import (
     ReflectionVector,
     base_frame,
     continue_frame,
-    free_plan,
     hm_matrix,
     local_laurent_frame,
     reflection_vector,
-    _unipotent_exp,
+    _twist_factors,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -66,7 +66,6 @@ _SEED_TOL = 1e-8  # bound on the first omitted term of the seed series
 _SEED_DRIFT_TOL = 1e-5  # doubled seed radius must not move the frame more
 _CONE_MARGIN = 0.02  # minimum normalized decay rate along a seed ray
 _CRITICAL_MARGIN = 1e-9
-_ODE_TOL = 1e-11
 _FIT_TOL = 1e-6
 # relative miss of the normalization h_m(beta, beta) = q + 1/q at which
 # extracted reflection vectors are no longer trusted
@@ -116,7 +115,9 @@ def _adjacent_walls(u, eta):
     below = None
     above = None
     for a in lifts:
-        for k in (-2, -1, 0, 1, 2):
+        # the turns of this wall that bracket alpha
+        k0 = math.floor((alpha - a) / TWO_PI)
+        for k in (k0, k0 + 1):
             x = a + TWO_PI * k
             if abs(x - alpha) <= _CRITICAL_MARGIN:
                 raise ValueError(
@@ -200,8 +201,8 @@ def _arc_points(radius, a_from, a_to):
 # -- direct integration of the frame --------------------------------------
 
 
-def _seed_setup(model, t, seed_radius):
-    rs = rmatrix_series(model, t, 3)
+def _seed_setup(model, seed_radius):
+    rs = rmatrix_series(model, 3)
     if seed_radius is not None:
         r0 = float(seed_radius)
         if r0 <= 0.0:
@@ -217,17 +218,19 @@ def _seed_column(sd, rs, z0, i):
     return (sd.psi @ series)[:, i]
 
 
-def _direct_samples(model, t, sd, rays, ray_radii, seed_radius, verify):
+def _direct_samples(model, sd, rays, ray_radii, seed_radius):
     """Gauged frame columns P with X = P diag(e^{u_i/z}) at the samples.
 
     rays gives one seeding angle per column; ray_radii maps each lifted
-    sample angle to its radii.  Returns {angle: {radius: P}}.
+    sample angle to its radii.  Returns {angle: {radius: P}}.  Each
+    column is also integrated from twice the seed radius, and a column
+    that moves by more than _SEED_DRIFT_TOL raises.
     """
     u = sd.u
     n = len(u)
-    uu = model.euler_mult(t)
+    uu = model.euler
     theta = model.theta
-    r0, rs = _seed_setup(model, t, seed_radius)
+    r0, rs = _seed_setup(model, seed_radius)
     rmax = max(max(rr) for rr in ray_radii.values())
     ring = max(1.25 * float(np.abs(u).max()), 1.05 * rmax, 2.5)
     out = {a: {r: np.empty((n, n), dtype=complex) for r in rr}
@@ -242,42 +245,37 @@ def _direct_samples(model, t, sd, rays, ray_radii, seed_radius, verify):
         z0 = r0 * cmath.exp(1j * phi)
         top = ring * cmath.exp(1j * phi)
         y_ring = continue_linear_ode(
-            rhs, _seed_column(sd, rs, z0, i), [z0, top],
-            tol=_ODE_TOL, singularities=(0.0,),
+            rhs, _seed_column(sd, rs, z0, i), [z0, top], singularities=(0.0,)
         )
-        if verify:
-            z1 = 2.0 * z0
-            other = continue_linear_ode(
-                rhs, _seed_column(sd, rs, z1, i), [z1, top],
-                tol=_ODE_TOL, singularities=(0.0,),
+        z1 = 2.0 * z0
+        other = continue_linear_ode(
+            rhs, _seed_column(sd, rs, z1, i), [z1, top], singularities=(0.0,)
+        )
+        drift = float(np.abs(other - y_ring).max())
+        scale = max(float(np.abs(y_ring).max()), 1e-30)
+        if drift > _SEED_DRIFT_TOL * scale:
+            raise RuntimeError(
+                "column {} moves by {:.3g} when the seed radius "
+                "doubles; the asymptotic seed cannot be trusted "
+                "there".format(i, drift / scale)
             )
-            drift = float(np.abs(other - y_ring).max())
-            scale = max(float(np.abs(y_ring).max()), 1e-30)
-            if drift > _SEED_DRIFT_TOL * scale:
-                raise RuntimeError(
-                    "column {} moves by {:.3g} when the seed radius "
-                    "doubles; the asymptotic seed cannot be trusted "
-                    "there".format(i, drift / scale)
-                )
         for a, rr in ray_radii.items():
             y = continue_linear_ode(
-                rhs, y_ring, _arc_points(ring, phi, a),
-                tol=_ODE_TOL, singularities=(0.0,),
+                rhs, y_ring, _arc_points(ring, phi, a), singularities=(0.0,)
             )
             r_prev = ring
             for r in sorted(rr, reverse=True):
                 y = continue_linear_ode(
                     rhs, y,
                     [r_prev * cmath.exp(1j * a), r * cmath.exp(1j * a)],
-                    tol=_ODE_TOL, singularities=(0.0,),
+                    singularities=(0.0,),
                 )
                 r_prev = r
                 out[a][r][:, i] = y
     return out
 
 
-def _ode_samples(model, t, eta, ray_radii, seed_radius=None, verify=True,
-                 _fallback=False):
+def _ode_samples(model, eta, ray_radii, seed_radius=None, _fallback=False):
     """Frame values {lifted angle: {radius: X}} along sample rays.
 
     When a column admits no stable seeding arc on this side, the whole
@@ -285,7 +283,7 @@ def _ode_samples(model, t, eta, ray_radii, seed_radius=None, verify=True,
     X(eta, z)^T g X(-eta, -z) = 1, evaluating the opposite frame one
     half turn below.
     """
-    sd = canonical_data(model, t)
+    sd = canonical_data(model, model.base_point)
     u = sd.u
     window = _sector_window(u, eta)
     for a in ray_radii:
@@ -293,8 +291,7 @@ def _ode_samples(model, t, eta, ray_radii, seed_radius=None, verify=True,
             raise ValueError("sample ray outside the sector of eta")
     rays = _seed_rays(u, window)
     if all(r is not None for r in rays):
-        gauged = _direct_samples(model, t, sd, rays, ray_radii, seed_radius,
-                                 verify)
+        gauged = _direct_samples(model, sd, rays, ray_radii, seed_radius)
         out = {}
         for a, rr in ray_radii.items():
             out[a] = {}
@@ -309,9 +306,9 @@ def _ode_samples(model, t, eta, ray_radii, seed_radius=None, verify=True,
             "spectral points are not in convex position".format(blocked)
         )
     opposite = _ode_samples(
-        model, t, eta.rotated(-math.pi),
+        model, eta.rotated(-math.pi),
         {a - math.pi: rr for a, rr in ray_radii.items()},
-        seed_radius, verify, _fallback=True,
+        seed_radius, _fallback=True,
     )
     g = np.asarray(model.pairing, dtype=complex)
     out = {}
@@ -325,34 +322,27 @@ def _ode_samples(model, t, eta, ray_radii, seed_radius=None, verify=True,
     return out
 
 
-def oscillatory_frame(model, t, eta, z, method="ode", m=None,
-                      seed_radius=None, verify_seed=True):
-    """Fundamental frame X(eta, t, z), columns in canonical order.
+def _sector_lift(model, eta, z):
+    """Canonical data and the lift of z into the open sector of eta."""
+    if z == 0:
+        raise ValueError("z must be nonzero")
+    sd = canonical_data(model, model.base_point)
+    return sd, _lift_into(z, _sector_window(sd.u, eta))
+
+
+def oscillatory_frame(model, eta, z, seed_radius=None):
+    """Fundamental frame X(eta, z) at the base point, columns in
+    canonical order.
 
     z is a plane point; its lift into the sector of eta is chosen
     automatically and points outside the open sector are rejected.  The
-    default method integrates the ODE from asymptotic seeds, doubling
-    the seed radius as a cross-check (disable with verify_seed=False,
-    override the radius with seed_radius).  method="laplace" instead
-    integrates e^{lambda/z} against the continued spectral periods for
-    a given weight with Re m < 0; it needs z strictly inside the decay
-    half-plane of eta and serves as an independent check of the default
-    route.
+    frame is integrated from asymptotic seeds at radius seed_radius
+    (chosen from the R-matrix series by default), and again from twice
+    that radius as a cross-check that raises when the two disagree.
     """
     z = complex(z)
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    sd = canonical_data(model, t)
-    window = _sector_window(sd.u, eta)
-    zeta = _lift_into(z, window)
-    if method == "laplace":
-        return _laplace_frame(model, t, sd, eta, z, m)
-    if method != "ode":
-        raise ValueError("unknown method {!r}".format(method))
-    if m is not None:
-        raise ValueError("m applies only to the laplace method")
-    samples = _ode_samples(model, t, eta, {zeta: [abs(z)]}, seed_radius,
-                           verify_seed)
+    _sd, zeta = _sector_lift(model, eta, z)
+    samples = _ode_samples(model, eta, {zeta: [abs(z)]}, seed_radius)
     return samples[zeta][abs(z)]
 
 
@@ -371,9 +361,17 @@ def _ray_moment(a, x, s0):
     return (s0 ** a) * cmath.exp(-x) * total
 
 
-def _laplace_frame(model, t, sd, eta, z, m):
-    if m is None:
-        raise ValueError("the laplace method needs the weight m")
+def laplace_frame(model, eta, z, m):
+    """Frame X(eta, z) at the base point as a Laplace integral.
+
+    Integrates e^{lambda/z} against the spectral periods of weight m,
+    continued along the reference paths of eta and out along the rays
+    u_i + s eta; needs Re m < 0 and z strictly inside the decay
+    half-plane of eta.  It shares no code path with the seeded
+    integration of oscillatory_frame and serves as its independent check.
+    """
+    z = complex(z)
+    sd, _zeta = _sector_lift(model, eta, z)
     m = complex(m)
     if m.real >= 0.0:
         raise ValueError("laplace evaluation needs Re m < 0")
@@ -386,11 +384,8 @@ def _laplace_frame(model, t, sd, eta, z, m):
     psi = _lift_into(z, (alpha + 0.5 * math.pi, alpha + 1.5 * math.pi))
     log_minus_z = complex(math.log(abs(z)), psi - math.pi)
     pref = cmath.exp((m - 0.5) * log_minus_z) / math.sqrt(TWO_PI)
-    diffs = np.abs(u[:, None] - u[None, :])
-    gap = float(diffs[diffs > 0].min())
-    s0 = 0.05 * gap
-    base = 2.5 * float(np.abs(u).max())
-    system = reference_system(u, eta, base)
+    s0 = 0.05 * float(_min_gap(u))
+    system = _reference_system(u, eta)
     slot_of = {int(system.permutation[k]): k for k in range(n)}
     nodes, weights = np.polynomial.legendre.leggauss(12)
     smax = s0 + 40.0 / rate
@@ -400,7 +395,7 @@ def _laplace_frame(model, t, sd, eta, z, m):
     for i in range(n):
         plan = system.paths[slot_of[i]]
         beta = reflection_vector(model, m, plan).beta
-        series = local_laurent_frame(model, t, i, m, 28)
+        series = local_laurent_frame(model, i, m, 28)
         acc = np.zeros(n, dtype=complex)
         x = -s0 * eta.eta / z
         last = 0.0
@@ -413,16 +408,14 @@ def _laplace_frame(model, t, sd, eta, z, m):
             raise RuntimeError("local expansion tail has not settled")
         u_i = complex(u[i])
         total = cmath.exp(u_i / z) * eta.eta * acc
-        frame = continue_frame(base_frame(model, m, base), plan, 1e-11)
+        frame = continue_frame(base_frame(model, m, plan.base_value), plan.waypoints)
         pos = abs(plan.end_log_branch.value)
         for a_e, b_e in zip(edges[:-1], edges[1:]):
             mid, half = 0.5 * (a_e + b_e), 0.5 * (b_e - a_e)
             for node, w in zip(nodes, weights):
                 s = mid + half * node
                 frame = continue_frame(
-                    frame,
-                    free_plan([u_i + pos * eta.eta, u_i + s * eta.eta]),
-                    1e-11,
+                    frame, [u_i + pos * eta.eta, u_i + s * eta.eta]
                 )
                 pos = s
                 lam = u_i + s * eta.eta
@@ -510,8 +503,8 @@ def monodromy_data_analytic(model, t, eta):
     psi = 0.5 * (below + above) - 0.5 * math.pi
     radii = list(np.geomspace(_SAMPLE_SPAN[0], _SAMPLE_SPAN[1], _SAMPLE_COUNT))
     plus_angle = psi + TWO_PI
-    x_plus = _ode_samples(model, t, eta, {plus_angle: radii})
-    x_minus = _ode_samples(model, t, eta.rotated(-math.pi), {psi: radii})
+    x_plus = _ode_samples(model, eta, {plus_angle: radii})
+    x_minus = _ode_samples(model, eta.rotated(-math.pi), {psi: radii})
     a_mats = [x_plus[plus_angle][r] for r in radii]
     b_mats = [x_minus[psi][r] for r in radii]
     v = _left_fit(a_mats, b_mats)
@@ -550,7 +543,12 @@ def monodromy_data_analytic(model, t, eta):
 # -- assembly from reflection vectors --------------------------------------
 
 
-def monodromy_data_from_reflections(model, t, eta, m, base_value=None):
+def _reference_system(u, eta):
+    """Reference paths of eta from the base point 2.5 max |u_i|."""
+    return reference_system(u, eta, 2.5 * float(np.abs(u).max()))
+
+
+def monodromy_data_from_reflections(model, t, eta, m):
     """Stokes and central connection data from reflection vectors.
 
     Extracts one reflection vector per spectral point along the
@@ -562,9 +560,7 @@ def monodromy_data_from_reflections(model, t, eta, m, base_value=None):
     sd = canonical_data(model, t)
     u = sd.u
     n = model.dim
-    if base_value is None:
-        base_value = 2.5 * float(np.abs(u).max())
-    system = reference_system(u, eta, base_value)
+    system = _reference_system(u, eta)
     betas = tuple(reflection_vector(model, m, plan) for plan in system.paths)
     cols = np.column_stack([b.beta for b in betas])
     gram = cols.T @ hm_matrix(model, m) @ cols
@@ -625,7 +621,7 @@ def wallcrossing_matrices(model, t, betas, nu):
         )
     direction = crits[nu].eta
     scale = max(1.0, float(np.abs(u).max()))
-    pos_of = {}
+    pos_of = {}  # spectral index -> position in betas
     for k, b in enumerate(betas):
         target = b.path.target_point()
         dist = np.abs(u - target)
@@ -635,6 +631,7 @@ def wallcrossing_matrices(model, t, betas, nu):
         if idx in pos_of:
             raise ValueError("two vectors target the same spectral point")
         pos_of[idx] = k
+    index_of = {pos: idx for idx, pos in pos_of.items()}
     h = hm_matrix(model, m)
     q = cmath.exp(1j * math.pi * complex(m))
     n = len(betas)
@@ -643,7 +640,7 @@ def wallcrossing_matrices(model, t, betas, nu):
         for l in range(n):
             if k == l:
                 continue
-            d = complex(u[_target_index(pos_of, k)] - u[_target_index(pos_of, l)])
+            d = complex(u[index_of[k]] - u[index_of[l]])
             along = (d * np.conj(direction)).real
             across = (d * np.conj(direction)).imag
             if abs(across) <= 1e-9 * abs(d) and along > 0.0:
@@ -652,24 +649,22 @@ def wallcrossing_matrices(model, t, betas, nu):
     for group in eta_sequences(u, crits[nu]):
         originals = []
         for j in group:
-            cur = np.array(betas[pos_of[j]].beta)
-            for prev in reversed(originals):
-                cur = cur - q * (cur @ h @ prev) * prev
-            new_vals[pos_of[j]] = cur
+            new_vals[pos_of[j]] = _mutated(betas[pos_of[j]].beta, originals, q, h)
             originals.append(np.array(betas[pos_of[j]].beta))
     predicted = tuple(
-        ReflectionVector(new_vals[k], betas[k].path, betas[k].m_tag,
-                         betas[k].spiral_exponent)
+        ReflectionVector(new_vals[k], betas[k].path, betas[k].m_tag)
         for k in range(n)
     )
     return w, predicted
 
 
-def _target_index(pos_of, position):
-    for idx, pos in pos_of.items():
-        if pos == position:
-            return idx
-    raise KeyError(position)
+def _mutated(vec, earlier, q, h):
+    """vec reflected through the vectors of earlier, the last one first:
+    each step subtracts q h_m(vec, prev) prev."""
+    cur = np.array(vec)
+    for prev in reversed(earlier):
+        cur = cur - q * (cur @ h @ prev) * prev
+    return cur
 
 
 # -- consistency checks -----------------------------------------------------
@@ -682,15 +677,9 @@ def _half_twist_residual(data, model):
     q = cmath.exp(1j * math.pi * complex(m))
     h = hm_matrix(model, m)
     vals = [np.array(b.beta) for b in data.betas]
-    tilde = []
-    for t_i, vec in enumerate(vals):
-        cur = np.array(vec)
-        for s in range(t_i - 1, -1, -1):
-            cur = cur - q * (cur @ h @ vals[s]) * vals[s]
-        tilde.append(cur)
+    tilde = [_mutated(vec, vals[:t_i], q, h) for t_i, vec in enumerate(vals)]
     u = canonical_data(model, model.base_point).u
-    flipped = reference_system(u, data.eta.rotated(math.pi),
-                               2.5 * float(np.abs(u).max()))
+    flipped = _reference_system(u, data.eta.rotated(math.pi))
     scale = max(1.0, float(np.abs(np.column_stack(vals)).max()))
     worst = 0.0
     for pos, vec in enumerate(data.betas):
@@ -745,9 +734,7 @@ def consistency_report(data, model, half_twist=True):
     )
 
     def from_central(sign, target):
-        exp_rho = _unipotent_exp(model.rho, sign)
-        exp_theta = np.diag(np.exp(sign * 1j * math.pi
-                                   * model.theta_eigenvalues))
+        exp_theta, exp_rho = _twist_factors(model, sign)
         kinv = np.linalg.inv(np.asarray(data.c_matrix, dtype=complex))
         got = kinv.T @ g @ exp_rho @ exp_theta @ kinv
         return np.abs(got - target).max()
@@ -772,10 +759,10 @@ def consistency_report(data, model, half_twist=True):
             # the duals of the betas under h_m are sqrt(2 pi) op^-1 C^-1;
             # multiplied out, the identity needs neither duals nor inverses
             # and stays defined where h_m is degenerate
-            up = np.diag(np.exp(1j * math.pi * model.theta_eigenvalues))
-            up = up @ _unipotent_exp(model.rho, +1.0)
-            dn = np.diag(np.exp(-1j * math.pi * model.theta_eigenvalues))
-            dn = dn @ _unipotent_exp(model.rho, -1.0)
+            exp_theta, exp_rho = _twist_factors(model, +1.0)
+            up = exp_theta @ exp_rho
+            exp_theta, exp_rho = _twist_factors(model, -1.0)
+            dn = exp_theta @ exp_rho
             op = up / q + q * dn
             lhs = math.sqrt(TWO_PI) * cols.T @ hm_matrix(model, m).T
             return np.abs(lhs - np.asarray(data.c_matrix) @ op).max()

@@ -85,10 +85,10 @@ def qde_residual(model, series, z):
 class TestProjectiveSpaceModel:
     def test_p1_multiplication_table(self):
         m = qh_projective_space(1, 1.0)
-        ops = m.mult(m.base_point)
+        ops = m.mult()
         assert np.allclose(ops[0], np.eye(2))
         assert np.allclose(ops[1], [[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(m.euler_mult(m.base_point), [[0.0, 2.0], [2.0, 0.0]])
+        assert np.allclose(m.euler, [[0.0, 2.0], [2.0, 0.0]])
 
     def test_p1_grading(self):
         m = qh_projective_space(1, 1.0)
@@ -100,7 +100,7 @@ class TestProjectiveSpaceModel:
     @pytest.mark.parametrize("n,q", [(1, 1.0), (2, 1.0), (2, cmath.exp(0.2j)), (3, 2.0 - 1.0j)])
     def test_axioms_and_serre_relation(self, n, q):
         m = qh_projective_space(n, q)
-        ops = m.mult(m.base_point)
+        ops = m.mult()
         a_p = ops[1]
         power = np.linalg.matrix_power(a_p, n + 1)
         assert np.abs(power - q * np.eye(n + 1)).max() < 1e-14 * max(1.0, abs(q))
@@ -111,7 +111,7 @@ class TestProjectiveSpaceModel:
 
     def test_p2_euler_eigenvalues_by_radicals(self):
         m = qh_projective_space(2, 1.0)
-        vals = np.linalg.eigvals(m.euler_mult(m.base_point))
+        vals = np.linalg.eigvals(m.euler)
         want = sorted(
             (3 * cmath.exp(2j * math.pi * k / 3) for k in range(3)),
             key=lambda z: (z.real, z.imag),
@@ -130,7 +130,7 @@ class TestProjectiveSpaceModel:
     def test_off_base_point_rejected(self):
         m = qh_projective_space(1, 1.0)
         with pytest.raises(ValueError):
-            m.mult(np.array([0.1, 0.0]))
+            canonical_data(m, np.array([0.1, 0.0]))
 
 
 class TestModelFiles:
@@ -217,7 +217,7 @@ class TestCanonicalData:
     def test_frame_properties(self, n, q):
         m = qh_projective_space(n, q)
         sd = canonical_data(m, m.base_point)
-        eu = m.euler_mult(m.base_point)
+        eu = m.euler
         assert np.abs(eu @ sd.psi - sd.psi * sd.u[None, :]).max() < 1e-10
         assert np.abs(sd.psi.T @ m.pairing @ sd.psi - np.eye(n + 1)).max() < 1e-10
         assert np.abs(sd.psi_inv @ sd.psi - np.eye(n + 1)).max() < 1e-10
@@ -280,7 +280,7 @@ class TestCalibration:
         m = qh_projective_space(n, q)
         order = 5
         s = calibration_series(m, order)
-        a_p = m.mult(m.base_point)[1]
+        a_p = m.mult()[1]
         for k in range(1, order + 1):
             want = a_p @ s[k - 1] - s[k - 1] @ (m.rho / (n + 1))
             dlog = np.zeros_like(s[k])
@@ -355,14 +355,14 @@ class TestCalibration:
 class TestRMatrix:
     def test_r0_identity(self):
         m = qh_projective_space(2, 1.0)
-        assert np.array_equal(rmatrix_series(m, m.base_point, 0)[0], np.eye(3))
+        assert np.array_equal(rmatrix_series(m, 0)[0], np.eye(3))
 
     def test_p1_hand_values(self):
         m = qh_projective_space(1, 1.0)
         sd = canonical_data(m, m.base_point)
         v_op = sd.psi_inv @ m.theta @ sd.psi
         assert np.abs(v_op - V_P1).max() < 1e-12
-        r = rmatrix_series(m, m.base_point, 2)
+        r = rmatrix_series(m, 2)
         # off-diagonal of R_1 is V_ij/(u_i - u_j), diagonal follows
         for i in range(2):
             for j in range(2):
@@ -376,7 +376,7 @@ class TestRMatrix:
     def test_symplectic_condition(self, n, q):
         m = qh_projective_space(n, q)
         order = 4
-        r = rmatrix_series(m, m.base_point, order)
+        r = rmatrix_series(m, order)
         for k in range(1, order + 1):
             acc = np.zeros((n + 1, n + 1), dtype=complex)
             for a in range(k + 1):
@@ -388,7 +388,7 @@ class TestRMatrix:
         # so halving z must shrink it by about 2^K; K = 4 gives ~16
         m = qh_projective_space(1, 1.0)
         sd = canonical_data(m, m.base_point)
-        r = rmatrix_series(m, m.base_point, 4)
+        r = rmatrix_series(m, 4)
 
         def residual(zv):
             def y_at(z):

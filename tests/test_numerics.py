@@ -201,6 +201,14 @@ class TestOperatorPower:
         with pytest.raises(ValueError):
             operator_power(lam, P1_THETA, np.eye(2))
 
+    def test_non_diagonal_theta_rejected(self):
+        lam = LogBranchPoint.principal(2.0)
+        theta = np.array([[0.5, 0.1], [0.0, -0.5]])
+        with pytest.raises(ValueError, match="diagonal"):
+            operator_power(lam, theta, P1_RHO)
+        with pytest.raises(ValueError, match="diagonal"):
+            next(calibrated_periods(theta, P1_RHO, 0.3, lam))
+
 
 class TestCalibratedPeriod:
     def test_zero_rho_collapses_to_scalars(self):

@@ -24,6 +24,7 @@ from qstokes.stokes import (
     compare_monodromy_data,
     consistency_report,
     gram_sign_gauge,
+    laplace_frame,
     monodromy_data_analytic,
     monodromy_data_from_reflections,
     oscillatory_frame,
@@ -62,7 +63,7 @@ def twist(m):
 
 
 def frame(model, z, **kw):
-    return oscillatory_frame(model, model.base_point, ETA, z, **kw)
+    return oscillatory_frame(model, ETA, z, **kw)
 
 
 _ANALYTIC = {}
@@ -118,7 +119,7 @@ class TestOscillatoryFrame:
         ray = cmath.exp(-0.2j * math.pi)
         h = 0.006
         vals = {
-            k: frame(P1, (0.9 + k * h) * ray, verify_seed=False)
+            k: frame(P1, (0.9 + k * h) * ray)
             for k in (-2, -1, 0, 1, 2)
         }
         deriv = (vals[-2] - 8 * vals[-1] + 8 * vals[1] - vals[2]) / (12 * h * ray)
@@ -133,7 +134,7 @@ class TestOscillatoryFrame:
         sd = canonical_data(P1, P1.base_point)
         diffs = []
         for r in (0.05, 0.025, 0.0125):
-            x = frame(P1, -1j * r, verify_seed=False)
+            x = frame(P1, -1j * r)
             gauged = x * np.exp(-sd.u / (-1j * r))[None, :]
             diffs.append(float(np.abs(gauged - sd.psi).max()))
         assert diffs[0] < 8e-3
@@ -142,10 +143,8 @@ class TestOscillatoryFrame:
         assert 1.9 < diffs[1] / diffs[2] < 2.1
 
     def test_opposite_frames_pair_to_identity(self):
-        plus = frame(P1, 0.9, verify_seed=False)
-        minus = oscillatory_frame(
-            P1, P1.base_point, ETA.rotated(-math.pi), -0.9, verify_seed=False
-        )
+        plus = frame(P1, 0.9)
+        minus = oscillatory_frame(P1, ETA.rotated(-math.pi), -0.9)
         prod = minus.T @ P1.pairing @ plus
         assert np.abs(prod - np.eye(2)).max() < 1e-5
 
@@ -153,11 +152,11 @@ class TestOscillatoryFrame:
         with pytest.raises(ValueError):
             frame(P1, 0.5j)
         with pytest.raises(ValueError):
-            oscillatory_frame(P2, P2.base_point, ETA, 1j)
+            oscillatory_frame(P2, ETA, 1j)
 
     def test_critical_direction_rejected(self):
         with pytest.raises(ValueError):
-            oscillatory_frame(P1, P1.base_point, Direction.from_lifted_angle(0.0), 0.9)
+            oscillatory_frame(P1, Direction.from_lifted_angle(0.0), 0.9)
 
     def test_seed_insensitivity_guard(self):
         # a seed far outside the validity of the asymptotic series moves
@@ -166,25 +165,25 @@ class TestOscillatoryFrame:
             frame(P1, -0.9j, seed_radius=1.5)
         # near the default radius the doubled seed agrees to the same
         # tolerance the guard enforces
-        base = frame(P1, -0.9j, verify_seed=False)
-        wide = frame(P1, -0.9j, seed_radius=0.024, verify_seed=False)
+        base = frame(P1, -0.9j)
+        wide = frame(P1, -0.9j, seed_radius=0.024)
         assert np.abs(wide - base).max() < 1e-5
 
     def test_laplace_matches_ode(self):
         z = 0.8 * cmath.exp(-1j * math.pi / 3)
-        ode = frame(P1, z, verify_seed=False)
-        lap = frame(P1, z, method="laplace", m=-0.3)
+        ode = frame(P1, z)
+        lap = laplace_frame(P1, ETA, z, -0.3)
         for i in range(2):
             rel = np.abs(lap[:, i] - ode[:, i]).max() / np.abs(ode[:, i]).max()
             assert rel < 1e-5
 
     def test_laplace_outside_decay_half_plane_rejected(self):
         with pytest.raises(ValueError):
-            frame(P1, 0.9, method="laplace", m=-0.3)
+            laplace_frame(P1, ETA, 0.9, -0.3)
 
     def test_laplace_needs_negative_re_m(self):
         with pytest.raises(ValueError):
-            frame(P1, -0.9j, method="laplace", m=0.3)
+            laplace_frame(P1, ETA, -0.9j, 0.3)
 
 
 class TestAnalyticData:
@@ -223,6 +222,19 @@ class TestAnalyticData:
     def test_critical_direction_rejected(self):
         with pytest.raises(ValueError):
             monodromy_data_analytic(P1, P1.base_point, Direction.from_lifted_angle(0.0))
+
+    def test_any_lift_of_eta(self):
+        # whole turns of eta keep the chamber, so V+ repeats; the walls
+        # bounding eta must be found however far eta is lifted
+        for model in (P1, P2):
+            want = analytic_for(model)
+            for k in (-3, 3, 4):
+                eta = ETA_FOR[model.name].rotated(2.0 * math.pi * k)
+                data = monodromy_data_analytic(model, model.base_point, eta)
+                assert data.order == want.order
+                assert np.abs(data.v_plus - want.v_plus).max() < 1e-12
+                for entry in consistency_report(data, model):
+                    assert entry["passed"], (k, entry)
 
 
 class TestReflectionData:
@@ -526,3 +538,30 @@ class TestConsistencyReport:
         failed = [e for e in report if not e["passed"]]
         assert failed
         assert any(e["identity"].startswith("stokes-from") for e in failed)
+
+
+class TestRepeatRuns:
+    def test_fresh_models_give_the_same_bits(self):
+        # nothing may carry over from one model or run to the next
+        m = 0.3
+        first = {}
+        for model in (P1, P2):
+            data = reflected_for(model, m)
+            first[model.name] = (data, analytic_for(model), consistency_report(data, model))
+        for n, q in ((3, cmath.exp(-0.3j)), (4, cmath.exp(0.1j))):
+            other = qh_projective_space(n, q)
+            monodromy_data_from_reflections(other, other.base_point, ETA_P2, 0.0)
+            del other
+        for n, q in ((1, 1.0), (2, cmath.exp(0.2j))):
+            model = qh_projective_space(n, q)
+            refl, ana, report = first[model.name]
+            eta = ETA_FOR[model.name]
+            again = monodromy_data_from_reflections(model, model.base_point, eta, m)
+            for a, b in ((refl, again),
+                         (ana, monodromy_data_analytic(model, model.base_point, eta))):
+                assert np.array_equal(a.v_plus, b.v_plus)
+                assert np.array_equal(a.c_matrix, b.c_matrix)
+            for a, b in zip(refl.betas, again.betas):
+                assert np.array_equal(a.beta, b.beta)
+            residuals = [e["residual"] for e in consistency_report(again, model)]
+            assert residuals == [e["residual"] for e in report]
