@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .numerics import (
     Jet,
     LogBranchPoint,
-    complex_gamma,
     rgamma,
     operator_power,
     calibrated_period,
@@ -47,7 +46,6 @@ __all__ = [
     "__version__",
     "Jet",
     "LogBranchPoint",
-    "complex_gamma",
     "rgamma",
     "operator_power",
     "calibrated_period",

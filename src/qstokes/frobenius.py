@@ -202,11 +202,6 @@ class FrobeniusModel:
             )
         return rhs / np.where(free, 1.0, factor), free
 
-    def ad_transpose(self, mat):
-        """Transpose with respect to the Frobenius pairing."""
-        g = self.pairing
-        return np.linalg.solve(g, mat.T @ g)
-
 
 def qh_projective_space(n, q):
     """Small quantum cohomology of P^n as a FrobeniusModel.

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "Jet",
     "LogBranchPoint",
-    "complex_gamma",
     "rgamma",
     "operator_power",
     "calibrated_period",
@@ -205,15 +204,6 @@ def rgamma(z):
     return out
 
 
-def complex_gamma(z):
-    """Gamma(z) for a complex scalar; raises at non-positive integers."""
-    z = complex(z)
-    k = round(z.real)
-    if k <= 0 and abs(z - k) < 1e-14:
-        raise ValueError("Gamma pole at non-positive integer {}".format(k))
-    return 1.0 / rgamma(z)
-
-
 @dataclass(frozen=True)
 class LogBranchPoint:
     """A nonzero complex number together with a chosen logarithm."""
@@ -234,9 +224,6 @@ class LogBranchPoint:
     def from_polar(cls, radius, angle):
         # angle is a lifted (real) angle; it fixes the branch directly
         return cls(radius * cmath.exp(1j * angle), complex(math.log(radius), angle))
-
-    def rotated(self, dphi):
-        return LogBranchPoint(self.value * cmath.exp(1j * dphi), self.log + 1j * dphi)
 
     def __complex__(self):
         return complex(self.value)

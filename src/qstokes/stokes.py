@@ -15,8 +15,10 @@ the calibrated solution T(z) = S(1/z) z^theta z^{-rho} (regular at
 z = infinity) defines the central connection matrix: X(-eta) = T C^{-1}.
 
 Two independent constructions are provided.  monodromy_data_analytic
-integrates the ODE column by column from asymptotic seeds and fits the
-matrices at samples on the bisector of the overlap sector.
+uses that S is entire in 1/z, so T is exact on every branch of log z
+and each frame is X(+-eta, z) = T(z) K+- for constant matrices K+-:
+one seed leg per column, integrated from the asymptotic seed, fixes
+that column of K, and V_+ and C are algebra on K+ and K-.
 monodromy_data_from_reflections assembles the same matrices from
 reflection vectors in the spectral plane: the inverse Stokes matrix is
 their h_m Gram matrix rescaled to the Euler pairing, and C is the
@@ -24,10 +26,10 @@ reflection matrix against the flat pairing.
 
 All matrices are indexed by the lexicographic slot order of the
 spectrum along eta; order[k] records the canonical spectral index
-behind slot k.  Branches follow the direction's lifted logarithm: on
-the sample ray the calibrated solution uses log z = log|z| + i psi with
-psi the lifted bisector angle, and the frame of -eta (reached by the
-clockwise half turn) is evaluated one half turn below the frame of eta.
+behind slot k.  Branches follow the direction's lifted logarithm: T is
+evaluated on the lift of z into the sector of the frame, and V_+
+compares the frame of -eta (reached by the clockwise half turn) with
+the frame of eta one full turn above it.
 """
 
 import cmath
@@ -58,15 +60,10 @@ from .periods import (
 
 TWO_PI = 2.0 * math.pi
 
-# Fit samples stay at |z| >= 0.35: the calibration series is entire in
-# w = 1/z but suffers heavy cancellation once |w| grows past ~4.
-_SAMPLE_SPAN = (0.35, 3.0)
-_SAMPLE_COUNT = 6
 _SEED_TOL = 1e-8  # bound on the first omitted term of the seed series
 _SEED_DRIFT_TOL = 1e-5  # doubled seed radius must not move the frame more
 _CONE_MARGIN = 0.02  # minimum normalized decay rate along a seed ray
 _CRITICAL_MARGIN = 1e-9
-_FIT_TOL = 1e-6
 # relative miss of the normalization h_m(beta, beta) = q + 1/q at which
 # extracted reflection vectors are no longer trusted
 _SELF_PAIRING_TOL = 3e-7
@@ -193,12 +190,7 @@ def _widest_run_mid(grid, ok):
     return best
 
 
-def _arc_points(radius, a_from, a_to):
-    steps = max(1, int(math.ceil(abs(a_to - a_from) / (math.pi / 18.0))))
-    return radius * np.exp(1j * np.linspace(a_from, a_to, steps + 1))
-
-
-# -- direct integration of the frame --------------------------------------
+# -- the frames as constants against the calibrated solution ---------------
 
 
 def _seed_setup(model, seed_radius):
@@ -218,30 +210,73 @@ def _seed_column(sd, rs, z0, i):
     return (sd.psi @ series)[:, i]
 
 
-def _direct_samples(model, sd, rays, ray_radii, seed_radius):
-    """Gauged frame columns P with X = P diag(e^{u_i/z}) at the samples.
+def _gauged_rhs(model, u_i):
+    """Right-hand side for P = X e^{-u_i/z}, the gauged column i."""
+    a0 = u_i * np.eye(model.dim, dtype=complex) - model.euler
+    theta = model.theta
 
-    rays gives one seeding angle per column; ray_radii maps each lifted
-    sample angle to its radii.  Returns {angle: {radius: P}}.  Each
-    column is also integrated from twice the seed radius, and a column
-    that moves by more than _SEED_DRIFT_TOL raises.
+    def rhs(z):
+        return (a0 + z * theta) / (z * z)
+
+    return rhs
+
+
+def _ring(u):
+    """Radius at which the seed legs end and T is evaluated; S is entire
+    in w = 1/z but its series cancels heavily at large |w|."""
+    return max(1.25 * float(np.abs(u).max()), 2.5)
+
+
+def _calibration_sum(model, w):
+    """S(w) summed until the tail of the series is negligible.
+
+    w is the regular chart value 1/z: the calibrated solution of the
+    z-plane ODE is T(z) = S(1/z) z^theta z^{-rho}.
+    """
+    order = 24
+    while True:
+        series = calibration_series(model, order)
+        terms = [float(np.abs(series[k]).max()) * abs(w) ** k
+                 for k in range(order - 2, order + 1)]
+        scale = max(1.0, float(np.abs(series[0]).max()))
+        if max(terms) < 1e-13 * scale:
+            break
+        if order >= 512:
+            raise RuntimeError(
+                "calibration series does not settle by order 512 at "
+                "|w| = {:.3g}".format(abs(w))
+            )
+        order *= 2
+    total = np.zeros_like(np.asarray(series[0], dtype=complex))
+    for k in range(order, -1, -1):
+        total = total * w + series[k]
+    return total
+
+
+def _calibrated_solution(model, radius, angle):
+    """T(z) = S(1/z) z^theta z^{-rho} at z = radius e^{i angle}, with the
+    branch of log z fixed by the lifted angle."""
+    z = radius * cmath.exp(1j * angle)
+    power = operator_power(LogBranchPoint.from_polar(radius, angle),
+                           model.theta, model.rho)
+    return _calibration_sum(model, 1.0 / z) @ power
+
+
+def _seeded_constants(model, sd, rays, seed_radius):
+    """K with X = T K, one seed leg per column.
+
+    Column i is integrated outward along its seeding angle rays[i] from
+    the asymptotic seed to the ring, and then K[:, i] = T^{-1} X_i there,
+    T on the lift of that angle.  Each column is also integrated from
+    twice the seed radius, and a column that moves by more than
+    _SEED_DRIFT_TOL raises.
     """
     u = sd.u
-    n = len(u)
-    uu = model.euler
-    theta = model.theta
     r0, rs = _seed_setup(model, seed_radius)
-    rmax = max(max(rr) for rr in ray_radii.values())
-    ring = max(1.25 * float(np.abs(u).max()), 1.05 * rmax, 2.5)
-    out = {a: {r: np.empty((n, n), dtype=complex) for r in rr}
-           for a, rr in ray_radii.items()}
-    for i in range(n):
-        phi = rays[i]
-        a0 = u[i] * np.eye(n, dtype=complex) - uu
-
-        def rhs(z, a0=a0):
-            return (a0 + z * theta) / (z * z)
-
+    ring = _ring(u)
+    k = np.empty((len(u), len(u)), dtype=complex)
+    for i, phi in enumerate(rays):
+        rhs = _gauged_rhs(model, u[i])
         z0 = r0 * cmath.exp(1j * phi)
         top = ring * cmath.exp(1j * phi)
         y_ring = continue_linear_ode(
@@ -259,67 +294,44 @@ def _direct_samples(model, sd, rays, ray_radii, seed_radius):
                 "doubles; the asymptotic seed cannot be trusted "
                 "there".format(i, drift / scale)
             )
-        for a, rr in ray_radii.items():
-            y = continue_linear_ode(
-                rhs, y_ring, _arc_points(ring, phi, a), singularities=(0.0,)
-            )
-            r_prev = ring
-            for r in sorted(rr, reverse=True):
-                y = continue_linear_ode(
-                    rhs, y,
-                    [r_prev * cmath.exp(1j * a), r * cmath.exp(1j * a)],
-                    singularities=(0.0,),
-                )
-                r_prev = r
-                out[a][r][:, i] = y
-    return out
+        k[:, i] = np.linalg.solve(
+            _calibrated_solution(model, ring, phi), y_ring * cmath.exp(u[i] / top)
+        )
+    return k
 
 
-def _ode_samples(model, eta, ray_radii, seed_radius=None, _fallback=False):
-    """Frame values {lifted angle: {radius: X}} along sample rays.
+def _frame_constants(model, eta, seed_radius):
+    """Constant K with X(eta, z) = T(z) K on every lift z of the sector.
 
-    When a column admits no stable seeding arc on this side, the whole
-    frame is rebuilt from the opposite one through the pairing identity
-    X(eta, z)^T g X(-eta, -z) = 1, evaluating the opposite frame one
-    half turn below.
+    S is entire in 1/z, so T is exact on every branch of log z and each
+    frame column is a constant combination of its columns.  When some
+    column admits no stable seeding ray on this side, K follows from the
+    opposite frame through the pairing X(-eta, z e^{-i pi})^T g X(eta, z)
+    = 1: with T(z e^{-i pi})^T g T(z) = g e^{i pi theta} e^{-i pi rho},
+    the operator power at -1 = e^{i pi}, this reads
+    K = (K_opp^T g e^{i pi theta} e^{-i pi rho})^{-1}.
     """
     sd = canonical_data(model, model.base_point)
     u = sd.u
-    window = _sector_window(u, eta)
-    for a in ray_radii:
-        if not window[0] < a < window[1]:
-            raise ValueError("sample ray outside the sector of eta")
-    rays = _seed_rays(u, window)
-    if all(r is not None for r in rays):
-        gauged = _direct_samples(model, sd, rays, ray_radii, seed_radius)
-        out = {}
-        for a, rr in ray_radii.items():
-            out[a] = {}
-            for r in rr:
-                z = r * cmath.exp(1j * a)
-                out[a][r] = gauged[a][r] * np.exp(u / z)[None, :]
-        return out
-    if _fallback:
-        blocked = [i for i, r in enumerate(rays) if r is None]
+    rays = _seed_rays(u, _sector_window(u, eta))
+    if None not in rays:
+        return _seeded_constants(model, sd, rays, seed_radius)
+    opposite = eta.rotated(-math.pi)
+    rays_opp = _seed_rays(u, _sector_window(u, opposite))
+    if None in rays_opp:
         raise RuntimeError(
-            "columns {} admit no stable seeding ray on either side; the "
-            "spectral points are not in convex position".format(blocked)
+            "no stable seeding ray for columns {} in the sector of the "
+            "direction at lifted angle {:.6g}, nor for columns {} in the "
+            "opposite sector".format(
+                [i for i, r in enumerate(rays) if r is None],
+                eta.lifted_angle,
+                [i for i, r in enumerate(rays_opp) if r is None],
+            )
         )
-    opposite = _ode_samples(
-        model, eta.rotated(-math.pi),
-        {a - math.pi: rr for a, rr in ray_radii.items()},
-        seed_radius, _fallback=True,
-    )
-    g = np.asarray(model.pairing, dtype=complex)
-    out = {}
-    for a, rr in ray_radii.items():
-        out[a] = {}
-        for r in rr:
-            z = r * cmath.exp(1j * a)
-            x_opp = opposite[a - math.pi][r]
-            gauged = x_opp * np.exp(u / z)[None, :]
-            out[a][r] = np.linalg.solve(gauged.T @ g, np.diag(np.exp(u / z)))
-    return out
+    k_opp = _seeded_constants(model, sd, rays_opp, seed_radius)
+    half = operator_power(LogBranchPoint(-1.0 + 0j, 1j * math.pi),
+                          model.theta, model.rho)
+    return np.linalg.inv(k_opp.T @ np.asarray(model.pairing, dtype=complex) @ half)
 
 
 def _sector_lift(model, eta, z):
@@ -334,16 +346,29 @@ def oscillatory_frame(model, eta, z, seed_radius=None):
     """Fundamental frame X(eta, z) at the base point, columns in
     canonical order.
 
-    z is a plane point; its lift into the sector of eta is chosen
+    z is a plane point; its lift zeta into the sector of eta is chosen
     automatically and points outside the open sector are rejected.  The
-    frame is integrated from asymptotic seeds at radius seed_radius
-    (chosen from the R-matrix series by default), and again from twice
-    that radius as a cross-check that raises when the two disagree.
+    frame is T(ring e^{i zeta}) K with the constants of _frame_constants
+    (seeded at radius seed_radius, chosen from the R-matrix series by
+    default, and cross-checked from twice that radius), carried along
+    the ray of zeta to |z| column by column.
     """
     z = complex(z)
-    _sd, zeta = _sector_lift(model, eta, z)
-    samples = _ode_samples(model, eta, {zeta: [abs(z)]}, seed_radius)
-    return samples[zeta][abs(z)]
+    sd, zeta = _sector_lift(model, eta, z)
+    u = sd.u
+    ring = _ring(u)
+    top = ring * cmath.exp(1j * zeta)
+    x_top = _calibrated_solution(model, ring, zeta) @ _frame_constants(
+        model, eta, seed_radius
+    )
+    out = np.empty_like(x_top)
+    for i in range(len(u)):
+        y = continue_linear_ode(
+            _gauged_rhs(model, u[i]), x_top[:, i] * cmath.exp(-u[i] / top),
+            [top, z], singularities=(0.0,),
+        )
+        out[:, i] = y * cmath.exp(u[i] / z)
+    return out
 
 
 # -- Laplace-type evaluation ----------------------------------------------
@@ -426,110 +451,24 @@ def laplace_frame(model, eta, z, m):
     return out
 
 
-# -- fitting the connection data ------------------------------------------
-
-
-def _left_fit(mats, targets):
-    """Least squares solution V of A_k V = B_k across all samples.
-
-    Each column of the unknowns is fitted with rows weighted by the
-    size of its own target column, so recessive columns are not drowned
-    by dominant ones; the design matrix is column-equilibrated.
-    """
-    n = mats[0].shape[0]
-    v = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        rows = []
-        rhs = []
-        for a, b in zip(mats, targets):
-            w = 1.0 / max(float(np.abs(b[:, j]).max()), 1e-280)
-            rows.append(a * w)
-            rhs.append(b[:, j] * w)
-        stack = np.vstack(rows)
-        scale = np.abs(stack).max(axis=0)
-        scale[scale == 0.0] = 1.0
-        sol = np.linalg.lstsq(stack / scale, np.concatenate(rhs), rcond=None)[0]
-        v[:, j] = sol / scale
-    return v
-
-
-def _fit_residual(mats, targets, v):
-    worst = 0.0
-    for a, b in zip(mats, targets):
-        num = float(np.abs(a @ v - b).max())
-        den = max(float(np.abs(b).max()), 1e-280)
-        worst = max(worst, num / den)
-    return worst
-
-
-def _calibration_sum(model, w):
-    """S(w) summed until the tail of the series is negligible.
-
-    w is the regular chart value 1/z: the calibrated solution of the
-    z-plane ODE is T(z) = S(1/z) z^theta z^{-rho}.
-    """
-    order = 24
-    while True:
-        series = calibration_series(model, order)
-        terms = [float(np.abs(series[k]).max()) * abs(w) ** k
-                 for k in range(order - 2, order + 1)]
-        scale = max(1.0, float(np.abs(series[0]).max()))
-        if max(terms) < 1e-13 * scale:
-            break
-        if order >= 512:
-            raise RuntimeError(
-                "calibration series does not settle by order 512 at "
-                "|w| = {:.3g}".format(abs(w))
-            )
-        order *= 2
-    total = np.zeros_like(np.asarray(series[0], dtype=complex))
-    for k in range(order, -1, -1):
-        total = total * w + series[k]
-    return total
-
-
 def monodromy_data_analytic(model, t, eta):
     """Stokes and central connection data by direct integration.
 
-    Both frames are sampled at _SAMPLE_COUNT points, log-spaced over
-    _SAMPLE_SPAN on the bisector ray of the overlap sector of eta and
-    -eta; the matrices solve weighted least squares problems whose
-    relative residuals must stay below _FIT_TOL.  The result carries no
-    reflection vectors.
+    The frames of eta and -eta are X(+-eta) = T K+- (_frame_constants).
+    The Stokes matrix compares X(-eta, z) with X(eta, z e^{2 pi i}) on
+    the lifts where both sectors overlap; T(z e^{2 pi i}) = T(z) M with
+    M = e^{2 pi i theta} e^{-2 pi i rho}, so V = (M K+)^{-1} K-, and
+    X(-eta) = T C^{-1} gives C = K-^{-1}, both in slot order.  The
+    result carries no reflection vectors.
     """
-    sd = canonical_data(model, t)
-    u = sd.u
-    below, above = _adjacent_walls(u, eta)
-    psi = 0.5 * (below + above) - 0.5 * math.pi
-    radii = list(np.geomspace(_SAMPLE_SPAN[0], _SAMPLE_SPAN[1], _SAMPLE_COUNT))
-    plus_angle = psi + TWO_PI
-    x_plus = _ode_samples(model, eta, {plus_angle: radii})
-    x_minus = _ode_samples(model, eta.rotated(-math.pi), {psi: radii})
-    a_mats = [x_plus[plus_angle][r] for r in radii]
-    b_mats = [x_minus[psi][r] for r in radii]
-    v = _left_fit(a_mats, b_mats)
-    resid = _fit_residual(a_mats, b_mats, v)
-    if resid > _FIT_TOL:
-        raise RuntimeError(
-            "Stokes fit residual {:.3g} exceeds {:g}".format(resid, _FIT_TOL)
-        )
-    t_mats = []
-    for r in radii:
-        z = r * cmath.exp(1j * psi)
-        power = operator_power(LogBranchPoint.from_polar(r, psi),
-                               model.theta, model.rho)
-        t_mats.append(_calibration_sum(model, 1.0 / z) @ power)
-    k = _left_fit(t_mats, b_mats)
-    resid = _fit_residual(t_mats, b_mats, k)
-    if resid > _FIT_TOL:
-        raise RuntimeError(
-            "central connection fit residual {:.3g} exceeds {:g}".format(
-                resid, _FIT_TOL
-            )
-        )
+    u = canonical_data(model, t).u
+    k_plus = _frame_constants(model, eta, None)
+    k_minus = _frame_constants(model, eta.rotated(-math.pi), None)
+    turn = operator_power(LogBranchPoint(1.0, TWO_PI * 1j), model.theta, model.rho)
+    v = np.linalg.solve(turn @ k_plus, k_minus)
     sigma = [int(s) for s in lexicographic_order(u, eta)]
     v_plus = v[np.ix_(sigma, sigma)]
-    c = np.linalg.inv(k[:, sigma])
+    c = np.linalg.inv(k_minus[:, sigma])
     return MonodromyData(
         v_plus=v_plus,
         v_minus=v_plus.T,

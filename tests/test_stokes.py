@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 
 from qstokes.frobenius import canonical_data, load_model, qh_projective_space, save_model
+from qstokes.numerics import LogBranchPoint, operator_power
 from qstokes.paths import Direction, reference_system
 from qstokes.periods import hm_matrix, reflection_vector
 from qstokes.stokes import (
     MonodromyData,
+    _calibration_sum,
     compare_monodromy_data,
     consistency_report,
     gram_sign_gauge,
@@ -169,13 +171,24 @@ class TestOscillatoryFrame:
         wide = frame(P1, -0.9j, seed_radius=0.024)
         assert np.abs(wide - base).max() < 1e-5
 
-    def test_laplace_matches_ode(self):
-        z = 0.8 * cmath.exp(-1j * math.pi / 3)
-        ode = frame(P1, z)
-        lap = laplace_frame(P1, ETA, z, -0.3)
-        for i in range(2):
+    @staticmethod
+    def assert_laplace_matches_ode(model, eta, z):
+        ode = oscillatory_frame(model, eta, z)
+        lap = laplace_frame(model, eta, z, -0.3)
+        for i in range(model.dim):
             rel = np.abs(lap[:, i] - ode[:, i]).max() / np.abs(ode[:, i]).max()
             assert rel < 1e-5
+
+    def test_laplace_matches_ode(self):
+        self.assert_laplace_matches_ode(P1, ETA, 0.8 * cmath.exp(-1j * math.pi / 3))
+
+    @pytest.mark.parametrize("z", [0.8 * cmath.exp(-1j * math.pi / 3),
+                                   0.6 * cmath.exp(-0.6j * math.pi)],
+                             ids=["arg=-pi/3", "arg=-0.6pi"])
+    def test_laplace_matches_ode_built_from_opposite_side(self, z):
+        # on P2 at eta = i column 1 has no seeding ray on eta's side, so
+        # the frame comes from the frame of -eta through the pairing
+        self.assert_laplace_matches_ode(P2, ETA, z)
 
     def test_laplace_outside_decay_half_plane_rejected(self):
         with pytest.raises(ValueError):
@@ -184,6 +197,35 @@ class TestOscillatoryFrame:
     def test_laplace_needs_negative_re_m(self):
         with pytest.raises(ValueError):
             laplace_frame(P1, ETA, -0.9j, 0.3)
+
+
+def calibrated_solution(model, z, angle):
+    """T(z) = S(1/z) z^theta z^{-rho} on the branch of the lifted angle."""
+    power = operator_power(LogBranchPoint.from_polar(abs(z), angle),
+                           model.theta, model.rho)
+    return _calibration_sum(model, 1.0 / z) @ power
+
+
+class TestCalibratedSolution:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, "json"])
+    def test_half_turn_pairing_is_constant(self, n, tmp_path):
+        # T(z e^{-i pi})^T g T(z) = g e^{i pi theta} e^{-i pi rho}, which
+        # turns the frame of -eta into the frame of eta
+        if n == "json":
+            save_model(P2, tmp_path / "model.json")
+            model = load_model(tmp_path / "model.json")
+        else:
+            model = qh_projective_space(n, cmath.exp(0.2j))
+        g = np.asarray(model.pairing, dtype=complex)
+        # e^{i pi theta} e^{-i pi rho} is the operator power at -1 = e^{i pi}
+        half = LogBranchPoint(-1.0 + 0j, 1j * math.pi)
+        want = g @ operator_power(half, model.theta, model.rho)
+        for r, angle in ((2.0, 0.4), (5.0, -2.1)):
+            z = r * cmath.exp(1j * angle)
+            got = calibrated_solution(model, -z, angle - math.pi).T @ g @ (
+                calibrated_solution(model, z, angle)
+            )
+            assert np.abs(got - want).max() < 1e-12 * np.abs(want).max()
 
 
 class TestAnalyticData:
@@ -222,6 +264,16 @@ class TestAnalyticData:
     def test_critical_direction_rejected(self):
         with pytest.raises(ValueError):
             monodromy_data_analytic(P1, P1.base_point, Direction.from_lifted_angle(0.0))
+
+    def test_no_seeding_ray_named(self):
+        # the spectrum of P^n lies on a circle, in convex position, yet
+        # here column 2 has no seeding ray on eta's side and column 1
+        # none on the other
+        model = qh_projective_space(3, cmath.exp(0.2j))
+        with pytest.raises(RuntimeError, match="no stable seeding ray") as err:
+            monodromy_data_analytic(model, model.base_point, ETA_P2)
+        assert "convex" not in str(err.value)
+        assert "1.8708" in str(err.value)
 
     def test_any_lift_of_eta(self):
         # whole turns of eta keep the chamber, so V+ repeats; the walls
