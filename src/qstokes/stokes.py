@@ -60,7 +60,12 @@ from .periods import (
 
 TWO_PI = 2.0 * math.pi
 
-_SEED_TOL = 1e-8  # bound on the first omitted term of the seed series
+# bound on the first omitted term of the seed series; summed to its
+# smallest term (the R-series is Gevrey-1), that term stands for it
+_SEED_TOL = 1e-8
+# order of the seed series; at the default radius gap/25 its smallest
+# term sits at order 25-26 on P^1..P^8
+_SEED_ORDER = 50
 _SEED_DRIFT_TOL = 1e-5  # doubled seed radius must not move the frame more
 _CONE_MARGIN = 0.02  # minimum normalized decay rate along a seed ray
 _CRITICAL_MARGIN = 1e-9
@@ -193,21 +198,45 @@ def _widest_run_mid(grid, ok):
 # -- the frames as constants against the calibrated solution ---------------
 
 
-def _seed_setup(model, seed_radius):
-    rs = rmatrix_series(model, 3)
-    if seed_radius is not None:
-        r0 = float(seed_radius)
-        if r0 <= 0.0:
-            raise ValueError("seed radius must be positive")
+def _seed_setup(model, sd, seed_radius):
+    """Seed radius and the R-series [R_0, ..., R_{_SEED_ORDER}].
+
+    The default radius is the minimum gap of the spectrum sd.u over 25:
+    the gauged ODE is stiff on the scale |u_i - u_j|/|z|^2 near z = 0,
+    so a leg is cheaper the farther out it starts, while the smallest
+    term of the seed series at gap/25 is still 1e-11 or less on P^1..P^8.
+    A radius given by the caller must be positive and finite.
+    """
+    if seed_radius is None:
+        r0 = _min_gap(sd.u) / 25.0
     else:
-        top = float(np.abs(rs[3]).sum(axis=1).max())
-        r0 = min((_SEED_TOL / max(top, 1e-12)) ** (1.0 / 3.0), 1.0)
-    return r0, rs
+        r0 = float(seed_radius)
+        if not (math.isfinite(r0) and r0 > 0.0):
+            raise ValueError("seed radius must be positive and finite")
+    return r0, rmatrix_series(model, _SEED_ORDER)
 
 
 def _seed_column(sd, rs, z0, i):
-    series = rs[0] + z0 * rs[1] + z0 * z0 * rs[2]
-    return (sd.psi @ series)[:, i]
+    """Column i of Psi R(z0), the ODE column gauged by e^{-u_i/z} at z0.
+
+    Column i of sum_k R_k z0^k is summed in the canonical frame until the
+    first term whose max-abs exceeds that of the last one kept (or to the
+    end of rs), the optimal truncation of the Gevrey-1 series, and then
+    mapped by Psi.  Returns the column and the max-abs of the last term
+    kept: the smallest term, which bounds the error of the sum.
+    """
+    total = np.array(rs[0][:, i], dtype=complex)
+    smallest = float(np.abs(total).max())
+    power = 1.0 + 0j
+    for r_k in rs[1:]:
+        power *= z0
+        term = power * r_k[:, i]
+        size = float(np.abs(term).max())
+        if size > smallest:
+            break
+        total += term
+        smallest = size
+    return sd.psi @ total, smallest
 
 
 def _gauged_rhs(model, u_i):
@@ -266,25 +295,35 @@ def _seeded_constants(model, sd, rays, seed_radius):
     """K with X = T K, one seed leg per column.
 
     Column i is integrated outward along its seeding angle rays[i] from
-    the asymptotic seed to the ring, and then K[:, i] = T^{-1} X_i there,
-    T on the lift of that angle.  Each column is also integrated from
-    twice the seed radius, and a column that moves by more than
-    _SEED_DRIFT_TOL raises.
+    the asymptotic seed at radius r0 (_seed_setup) to the ring, and then
+    K[:, i] = T^{-1} X_i there, T on the lift of that angle.  Two guards
+    hold the seeds: before any leg runs, a column whose seed series has
+    its smallest term above _SEED_TOL at r0 raises; and each column is
+    also integrated from twice the seed radius, and a column that moves
+    by more than _SEED_DRIFT_TOL at the ring raises.
     """
     u = sd.u
-    r0, rs = _seed_setup(model, seed_radius)
+    r0, rs = _seed_setup(model, sd, seed_radius)
+    seeds = []
+    for i, phi in enumerate(rays):
+        z0 = r0 * cmath.exp(1j * phi)
+        column, smallest = _seed_column(sd, rs, z0, i)
+        if smallest > _SEED_TOL:
+            raise RuntimeError(
+                "the smallest term of column {}'s seed series at radius "
+                "{:.3g} is {:.3g}, above the bound {:.3g}; the asymptotic "
+                "seed cannot be trusted there".format(i, r0, smallest, _SEED_TOL)
+            )
+        seeds.append((phi, z0, column))
     ring = _ring(u)
     k = np.empty((len(u), len(u)), dtype=complex)
-    for i, phi in enumerate(rays):
+    for i, (phi, z0, column) in enumerate(seeds):
         rhs = _gauged_rhs(model, u[i])
-        z0 = r0 * cmath.exp(1j * phi)
         top = ring * cmath.exp(1j * phi)
-        y_ring = continue_linear_ode(
-            rhs, _seed_column(sd, rs, z0, i), [z0, top], singularities=(0.0,)
-        )
+        y_ring = continue_linear_ode(rhs, column, [z0, top], singularities=(0.0,))
         z1 = 2.0 * z0
         other = continue_linear_ode(
-            rhs, _seed_column(sd, rs, z1, i), [z1, top], singularities=(0.0,)
+            rhs, _seed_column(sd, rs, z1, i)[0], [z1, top], singularities=(0.0,)
         )
         drift = float(np.abs(other - y_ring).max())
         scale = max(float(np.abs(y_ring).max()), 1e-30)
@@ -348,10 +387,14 @@ def oscillatory_frame(model, eta, z, seed_radius=None):
 
     z is a plane point; its lift zeta into the sector of eta is chosen
     automatically and points outside the open sector are rejected.  The
-    frame is T(ring e^{i zeta}) K with the constants of _frame_constants
-    (seeded at radius seed_radius, chosen from the R-matrix series by
-    default, and cross-checked from twice that radius), carried along
-    the ray of zeta to |z| column by column.
+    frame is T(ring e^{i zeta}) K with the constants of _frame_constants,
+    carried along the ray of zeta to |z| column by column.  The constants
+    come from seeds at radius seed_radius (by default the minimum
+    spectral gap over 25), where the R-series is summed to its smallest
+    term.  A non-positive or non-finite radius raises ValueError; a seed
+    whose smallest term exceeds _SEED_TOL, or a column that moves by
+    more than _SEED_DRIFT_TOL when the radius doubles, raises
+    RuntimeError.
     """
     z = complex(z)
     sd, zeta = _sector_lift(model, eta, z)

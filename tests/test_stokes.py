@@ -18,7 +18,7 @@ import pytest
 
 from qstokes.frobenius import canonical_data, load_model, qh_projective_space, save_model
 from qstokes.numerics import LogBranchPoint, operator_power
-from qstokes.paths import Direction, reference_system
+from qstokes.paths import Direction, _min_gap, reference_system
 from qstokes.periods import hm_matrix, reflection_vector
 from qstokes.stokes import (
     MonodromyData,
@@ -161,15 +161,39 @@ class TestOscillatoryFrame:
             oscillatory_frame(P1, Direction.from_lifted_angle(0.0), 0.9)
 
     def test_seed_insensitivity_guard(self):
-        # a seed far outside the validity of the asymptotic series moves
-        # when its radius is doubled, and the cross-check must catch it
+        # a seed far outside the validity of the asymptotic series must
+        # be caught by the guards on the seed
         with pytest.raises(RuntimeError):
             frame(P1, -0.9j, seed_radius=1.5)
-        # near the default radius the doubled seed agrees to the same
+        # well inside the default radius the seed agrees to the same
         # tolerance the guard enforces
         base = frame(P1, -0.9j)
         wide = frame(P1, -0.9j, seed_radius=0.024)
         assert np.abs(wide - base).max() < 1e-5
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+    def test_invalid_seed_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="positive and finite"):
+            frame(P1, -0.9j, seed_radius=radius)
+
+    def test_seed_series_guard(self):
+        # at a fifth of the gap the smallest term of the R-series is far
+        # above the seed tolerance, and no leg may start from there
+        with pytest.raises(RuntimeError, match="smallest term"):
+            frame(P1, -0.9j, seed_radius=0.8)
+
+    @pytest.mark.parametrize("model, z", [
+        (P1, -0.9j),
+        (P2, -0.9j * cmath.exp(0.3j)),
+    ], ids=["P1", "P2"])
+    def test_default_seed_matches_half_radius(self, model, z):
+        # the optimally truncated seed at gap/25 is accurate to its
+        # smallest term, so halving the radius moves nothing visible
+        eta = ETA_FOR[model.name]
+        gap = _min_gap(canonical_data(model, model.base_point).u)
+        base = oscillatory_frame(model, eta, z)
+        half = oscillatory_frame(model, eta, z, seed_radius=gap / 50.0)
+        assert np.abs(half - base).max() < 1e-11 * np.abs(base).max()
 
     @staticmethod
     def assert_laplace_matches_ode(model, eta, z):
@@ -260,6 +284,12 @@ class TestAnalyticData:
         for i in range(3):
             for j in range(i):
                 assert abs(v[i, j]) < 1e-6
+
+    @pytest.mark.parametrize("model, v_plus", [(P1, V_PLUS_P1), (P2, V_PLUS_P2)],
+                             ids=["P1", "P2"])
+    def test_stokes_matrix_near_integers(self, model, v_plus):
+        data = analytic_for(model)
+        assert np.abs(np.abs(data.v_plus) - np.abs(v_plus)).max() < 1e-11
 
     def test_critical_direction_rejected(self):
         with pytest.raises(ValueError):
@@ -359,6 +389,11 @@ class TestTwoWayAgreement:
         report = compare_monodromy_data(reflected_for(P2), analytic_for(P2))
         assert report["v_plus"] < 1e-5
         assert report["c_matrix"] < 1e-5
+
+    @pytest.mark.parametrize("model", [P1, P2], ids=["P1", "P2"])
+    def test_routes_agree_closely(self, model):
+        report = compare_monodromy_data(reflected_for(model, 0.3), analytic_for(model))
+        assert report["max"] < 1e-10
 
     def test_sign_normalization_detects_column_flips(self):
         data = analytic_for(P1)
